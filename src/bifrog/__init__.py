@@ -14,10 +14,11 @@ from .laws import (Bernoulli, Constant, Geometric, InitLaw, Poisson,
 from .pathprob import (PathOpenEstimate, PathOpenQuery, PathOpenTables,
                        bernoulli_path_open, bernoulli_path_open_at,
                        mc_path_open, path_open_prob)
-from .sim import (GwOutcome, RangeDiskReport, SimConfig, SimOutcome,
-                  SimResourceError, SurvivalEstimate, estimate_survival,
-                  gw_progeny_masses, mc_range_vs_disk, run_frog,
-                  run_multitype_gw, sweep, wilson_interval)
+from .sim import (CoupledThresholds, GwOutcome, RangeDiskReport, SimConfig,
+                  SimOutcome, SimResourceError, SurvivalEstimate,
+                  coupled_thresholds, estimate_survival, gw_progeny_masses,
+                  mc_range_vs_disk, run_frog, run_multitype_gw, sweep,
+                  wilson_interval)
 from .tree import (ROOT, TreeParams, VertexAddr, children, degree, distance,
                    neighbors, num_children, parent, parity, validate_addr)
 

@@ -127,14 +127,21 @@ def cmd_sweep(args) -> int:
     ps = parse_p_grid(args.p)
     config = sim.SimConfig(tree=t, law=law, p=ps[0], horizon=args.horizon,
                            awake_cap=args.awake_cap, seed=args.seed)
-    rows = sim.sweep(config, ps, args.replicas, coupled=args.coupled,
-                     workers=args.workers)
+    extra = {"coupled": args.coupled, "seed": args.seed,
+             "eta": args.eta, "d1": args.d1, "d2": args.d2}
+    if args.coupled:
+        p_max = max((x for x in ps if x < 1.0), default=0.0)
+        thresholds = sim.coupled_thresholds(config, p_max, args.replicas,
+                                            workers=args.workers)
+        rows = thresholds.estimates(ps)
+        extra["p_hat_quantiles"] = thresholds.quantiles()
+    else:
+        rows = sim.sweep(config, ps, args.replicas, workers=args.workers)
     columns = ["p", "replicas", "survived", "fraction", "ci_low", "ci_high"]
     _emit(args, "sweep", columns,
           [[r.p, r.replicas, r.survived, r.fraction, r.ci_low, r.ci_high]
            for r in rows],
-          extra={"coupled": args.coupled, "seed": args.seed,
-                 "eta": args.eta, "d1": args.d1, "d2": args.d2})
+          extra=extra)
     return 0
 
 
@@ -186,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=10_000)
     p.add_argument("--awake-cap", dest="awake_cap", type=int, default=100_000)
     p.add_argument("--coupled", action="store_true",
-                   help="share one realization per replica across the grid")
+                   help="share one realization per replica across the grid; "
+                        "--awake-cap then bounds the total of woken frogs and "
+                        "--horizon is ignored")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     _add_output_opts(p)

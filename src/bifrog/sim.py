@@ -5,20 +5,28 @@ awake frog first survives with probability p, then jumps to a uniform
 neighbor; first visits to a vertex wake the frogs sleeping there, whose
 count is sampled exactly once per vertex.  Vertices are registered on
 first visit (the visited cluster stays connected, so a fresh vertex is
-always entered from its parent) and the registry is shared by the coupled
-sweep, which re-evaluates survival across an ascending p grid on one
-realization per replica so that the survival indicator is provably
-nondecreasing in p.
+always entered from its parent) in one store, _TreeTable.
 
-Randomness is Philox counter-based: one stream per (seed, replica) for the
-uncoupled runs, and per-(vertex, frog, purpose) substreams for the coupled
-runs so a frog's lifetime uniforms and jump uniforms do not depend on p.
+The coupled sweep is time-free: a replica survives at p when its
+activation cluster (the root, and every vertex a walk from an awake
+vertex visits while all its lifetime uniforms stay below p) holds more
+than awake_cap frogs; horizon plays no part.  All p share one realization
+per replica, so one minimax pass (after Newman and Ziff) finds the
+replica's critical value p_hat, the least p at which the woken total
+exceeds the cap, and survival at every p < 1 is p_hat < p.
+
+Randomness is Philox counter-based: one stream per (seed, replica) for
+run_frog, and for the coupled pass one Philox per replica whose counter
+is reset to (offset, frog, purpose, vertex RNG key) before each read.  A
+vertex's RNG key hashes its parent's key and its child index, so every
+random number is fixed by the vertex, frog and purpose, whatever p asks
+for it and in whatever order the tree is explored.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -33,11 +41,10 @@ ACTIVATED_HARD_CAP = 10 ** 7
 _MAX_WALK_STEPS = 10 ** 6
 _EMPTY = np.empty(0, dtype=np.int64)
 
-_PUR_ETA, _PUR_LIFE, _PUR_JUMP = 1, 2, 3
-
 
 class SimResourceError(RuntimeError):
-    """The run touched more vertices than the hard safety cap."""
+    """The run touched more vertices, or walked a frog further, than a hard
+    safety cap allows."""
 
 
 class _TreeTable:
@@ -78,9 +85,6 @@ class _TreeTable:
 
     def degrees(self, vids: np.ndarray) -> np.ndarray:
         return np.where(self.level_odd[vids] == 0, self.t.d1 + 1, self.t.d2 + 1)
-
-    def degree_at(self, vid: int) -> int:
-        return self.t.d1 + 1 if self.level_odd[vid] == 0 else self.t.d2 + 1
 
     def move(self, movers: np.ndarray, slot: np.ndarray):
         """One jump per mover; returns (targets, fresh ids in alloc order).
@@ -201,7 +205,9 @@ def run_frog(config: SimConfig) -> SimOutcome:
                 pos = np.concatenate([targets, np.repeat(fresh, counts)])
             else:
                 pos = targets
-        assert pos.size == survivors + woken, "awake count must be conserved"
+        if pos.size != survivors + woken:
+            raise RuntimeError(f"awake count not conserved at time {now}: "
+                               f"{pos.size} != {survivors} + {woken}")
         if pos.size == 0:
             return SimOutcome(survived=False, at_time=now, censor_reason=None,
                               max_awake=max_awake, vertices_activated=table.n)
@@ -262,91 +268,231 @@ def estimate_survival(config: SimConfig, replicas: int,
                             fraction=s / replicas, ci_low=lo, ci_high=hi)
 
 
-def _counter_rng(key: np.ndarray, purpose: int, vid: int, frog: int) -> np.random.Generator:
-    bits = np.random.Philox(counter=[0, frog, purpose, vid], key=key)
-    return np.random.Generator(bits)
+_PUR_ETA, _PUR_WALK = 1, 2
+#: (lifetime, jump) uniform pairs per walk block; one block spans
+#: 2 * _BLOCK_PAIRS / 4 Philox counter increments
+_BLOCK_PAIRS = 32
+_BLOCK_STRIDE = _BLOCK_PAIRS // 2
+_MASK64 = (1 << 64) - 1
 
 
-def _walk_range(table: _TreeTable, key: np.ndarray, vid: int, frog: int, p: float):
-    """Vertices visited by one frog's killed walk, in order.
+def _child_key(parent_key: int, cidx: int) -> int:
+    """RNG key of child cidx of a vertex: splitmix64 of (parent key, cidx)."""
+    z = (parent_key + (cidx + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
-    The lifetime and jump uniforms come from fixed substreams read as
-    prefixes, so raising p extends the same walk instead of resampling it.
+
+class _Realization:
+    """The random environment of one coupled replica, shared by every p.
+
+    Vertex v has a 64-bit RNG key fixed by its place in the tree: 0 at the
+    root and _child_key(key of parent, child index) below it, so a key
+    never depends on the order in which the tree was explored (a hash
+    collision would reuse random numbers, never merge vertices).  All
+    randomness at v is read from Philox under the replica key with counter
+    (offset, frog, purpose, key of v): eta(v) with purpose _PUR_ETA, and
+    frog f's lifetime and jump uniforms with purpose _PUR_WALK, in blocks
+    of _BLOCK_PAIRS pairs that are consecutive pieces of one stream.  One
+    Philox serves the whole replica; every read first resets its counter.
     """
-    life = _counter_rng(key, _PUR_LIFE, vid, frog)
-    jumps = None
-    offset = 0
-    while jumps is None:
-        block = life.random(64 if offset == 0 else 1024)
-        failed = np.nonzero(block >= p)[0]
-        if failed.size:
-            jumps = offset + int(failed[0])
-        else:
-            offset += block.size
-            if offset >= _MAX_WALK_STEPS:
-                jumps = _MAX_WALK_STEPS
-    if jumps == 0:
-        return ()
-    u = _counter_rng(key, _PUR_JUMP, vid, frog).random(jumps)
-    cur = vid
-    out = []
-    for uu in u:
-        deg = table.degree_at(cur)
-        slot = min(int(uu * deg), deg - 1)
-        cur = table.step_scalar(cur, slot)
-        out.append(cur)
-    return out
+
+    def __init__(self, config: SimConfig, replica: int):
+        key = np.random.SeedSequence(
+            (config.seed, replica, 0xC0FFEE)).generate_state(2, np.uint64)
+        self.key = [int(k) for k in key]
+        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self.law = config.law
+        self.table = _TreeTable(config.tree)
+        self.degs = (config.tree.d1 + 1, config.tree.d2 + 1)
+        self.rng_key = [0]
+
+    def _seek(self, vid: int, frog: int, purpose: int, offset: int) -> None:
+        self.gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [offset, frog, purpose, self.rng_key[vid]],
+                      "key": self.key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def eta(self, vid: int) -> int:
+        self._seek(vid, 0, _PUR_ETA, 0)
+        return int(self.law.sample(self.gen, 1)[0])
+
+    def walk_block(self, vid: int, frog: int, block: int) -> list:
+        """Uniforms of steps block * _BLOCK_PAIRS onward: the lifetime
+        uniform of step i of the block at i, its jump uniform at
+        _BLOCK_PAIRS + i."""
+        self._seek(vid, frog, _PUR_WALK, block * _BLOCK_STRIDE)
+        return self.gen.random(2 * _BLOCK_PAIRS).tolist()
+
+    def step(self, vid: int, odd: int, u: float) -> int:
+        """The vertex a jump with uniform u leads to from vid (parity odd)."""
+        deg = self.degs[odd]
+        slot = min(int(u * deg), deg - 1)
+        y = self.table.step_scalar(vid, slot)
+        if y == len(self.rng_key):
+            self.rng_key.append(_child_key(self.rng_key[vid], slot - (vid != 0)))
+        return y
 
 
-def _cluster_survives(config: SimConfig, table: _TreeTable, eta: dict,
-                      key: np.ndarray, p: float) -> bool:
-    """Time-free survival evaluation at one p on a shared realization.
+class _Walk:
+    """Killed walk of frog `frog` woken at `home`, read one step at a time.
 
-    Explores the activation cluster of the root: waking a vertex releases
-    its frogs, whose realized ranges wake every vertex they touch.  The
-    replica survives when the cumulative number of woken frogs exceeds
-    awake_cap; with shared substreams this indicator is nondecreasing in p
-    because ranges only extend as p grows and the running total crosses
-    the cap at the larger p whenever it did at the smaller.
+    Step s + 1 is taken at p iff the lifetime uniforms L_0..L_s are all
+    below p; next_life() returns the pending L_s and step() takes it.
+    The current block of uniforms is read on demand, so a parked walk
+    holds none.
     """
-    law = config.law
 
-    def eta_of(v: int) -> int:
-        if v not in eta:
-            eta[v] = int(law.sample(_counter_rng(key, _PUR_ETA, v, 0), 1)[0])
-        return eta[v]
+    __slots__ = ("real", "home", "frog", "block", "i", "u", "pos", "odd")
 
-    if p >= 1.0:
-        return eta_of(0) >= 1
+    def __init__(self, real: _Realization, home: int, frog: int, odd: int):
+        self.real, self.home, self.frog = real, home, frog
+        self.pos, self.odd = home, odd
+        self.block = self.i = 0
+        self.u = None
+
+    def next_life(self) -> float:
+        if self.i == _BLOCK_PAIRS:
+            self.block += 1
+            self.i = 0
+            self.u = None
+        if self.u is None:
+            self.u = self.real.walk_block(self.home, self.frog, self.block)
+        return self.u[self.i]
+
+    def step(self) -> int:
+        """Take the step whose lifetime uniform next_life() returned."""
+        if self.block * _BLOCK_PAIRS + self.i >= _MAX_WALK_STEPS:
+            raise SimResourceError(
+                f"a walk exceeded {_MAX_WALK_STEPS} steps below p_max; lower p_max")
+        self.pos = self.real.step(self.pos, self.odd, self.u[_BLOCK_PAIRS + self.i])
+        self.odd ^= 1
+        self.i += 1
+        return self.pos
+
+    def park(self) -> None:
+        """Drop the block in hand; next_life() reads it again."""
+        self.u = None
+
+
+def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
+    """(p_hat, eta(root) >= 1) of one replica by one lazy minimax pass.
+
+    A vertex wakes at p iff its threshold is below p.  The threshold is 0
+    at the root, and max(threshold of v, L_0..L_{s-1}) for the vertex that
+    step s of a walk from v reaches, minimized over walks.  Vertices are
+    woken in threshold order and p_hat is the threshold at which the
+    woken-frog total first exceeds awake_cap.  A walk is extended only
+    while its lifetime uniforms stay at or below the current level; the
+    first one above it parks the walk on the heap under that uniform.
+    Levels from p_max up are never resolved: p_hat is then +inf.
+    """
+    real = _Realization(config, replica)
     cap = config.awake_cap
-    woken = eta_of(0)
-    if woken == 0:
-        return False
-    if woken > cap:
-        return True
-    activated = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for frog in range(eta_of(v)):
-            for y in _walk_range(table, key, v, frog, p):
-                if y not in activated:
-                    activated.add(y)
-                    queue.append(y)
-                    woken += eta_of(y)
-                    if woken > cap:
-                        return True
-    return False
+    total = real.eta(0)
+    if total == 0 or p_max <= 0.0:
+        return math.inf, total >= 1
+    if total > cap:
+        return 0.0, True
+    awake = {0}
+    ready = [_Walk(real, 0, f, 0) for f in range(total)]
+    heap: list = []
+    seq = 0
+    level = 0.0
+    while True:
+        while ready:
+            walk = ready.pop()
+            while True:
+                life = walk.next_life()
+                if life > level:
+                    # a parked walk is rarely resumed (about 10 resumes per
+                    # replica at T(2,2), const:1, cap 2000), so it drops its
+                    # uniforms instead of holding them in memory
+                    walk.park()
+                    seq += 1
+                    heapq.heappush(heap, (life, seq, walk))
+                    break
+                y = walk.step()
+                if y in awake:
+                    continue
+                awake.add(y)
+                eta = real.eta(y)
+                total += eta
+                if total > cap:
+                    return level, True
+                ready.extend(_Walk(real, y, f, walk.odd) for f in range(eta))
+        # every walk is parked here: none ends, since lifetime uniforms are < 1
+        level, _, walk = heapq.heappop(heap)
+        if level >= p_max:
+            return math.inf, True
+        ready.append(walk)
 
 
-def _coupled_replica(config: SimConfig, ps_sorted, replica: int):
-    table = _TreeTable(config.tree)
-    eta: dict = {}
-    key = np.random.SeedSequence((config.seed, replica, 0xC0FFEE)).generate_state(2, np.uint64)
-    inds = [_cluster_survives(config, table, eta, key, p) for p in ps_sorted]
-    assert all(a <= b for a, b in zip(inds, inds[1:])), \
-        "coupled survival indicator must be nondecreasing in p"
-    return inds
+@dataclass(frozen=True)
+class CoupledThresholds:
+    """Per-replica critical values of the coupled sweep.
+
+    p_hat[r] is replica r's critical value: it survives at p < 1 iff
+    p_hat[r] < p (never at p = 0, where every frog dies at once, as in
+    run_frog).  It is +inf when the replica does not exceed awake_cap
+    below p_max.  At p = 1 every walk is infinite, so replica r survives
+    iff its root holds a frog (root_awake[r]).
+    """
+
+    p_max: float
+    p_hat: tuple
+    root_awake: tuple
+
+    def survived(self, p: float) -> int:
+        p = _check_p(p)
+        if p >= 1.0:
+            return sum(self.root_awake)
+        if p > self.p_max:
+            raise ValueError(f"p={p} lies above p_max={self.p_max}, where "
+                             f"the thresholds are not resolved")
+        return sum(x < p for x in self.p_hat)
+
+    def estimates(self, p_values) -> list:
+        """One SurvivalEstimate per p, in input order."""
+        n = len(self.p_hat)
+        out = []
+        for x in p_values:
+            s = self.survived(x)
+            lo, hi = wilson_interval(s, n)
+            out.append(SurvivalEstimate(p=x, replicas=n, survived=s,
+                                        fraction=s / n, ci_low=lo, ci_high=hi))
+        return out
+
+    def quantiles(self) -> dict:
+        """Order-statistic quantiles of p_hat (None where they lie above
+        p_max) and the number of replicas above p_max."""
+        x = np.asarray(self.p_hat, dtype=float)
+        out = {}
+        for name, q in (("min", 0.0), ("q25", 0.25), ("median", 0.5),
+                        ("q75", 0.75), ("max", 1.0)):
+            v = float(np.quantile(x, q, method="inverted_cdf"))
+            out[name] = v if math.isfinite(v) else None
+        out["above_p_max"] = int(np.isinf(x).sum())
+        out["p_max"] = self.p_max
+        return out
+
+
+def coupled_thresholds(config: SimConfig, p_max: float, replicas: int,
+                       workers: int = 1) -> CoupledThresholds:
+    """Critical values p_hat of replicas replica_index .. + replicas - 1,
+    resolved on [0, p_max); config.p and config.horizon are not used."""
+    if not 0.0 <= p_max < 1.0:
+        raise ValueError(f"p_max must lie in [0, 1), got {p_max}")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    base = config.replica_index
+    per_replica = _map_replicas(lambda r: _replica_threshold(config, p_max, r),
+                                range(base, base + replicas), workers)
+    return CoupledThresholds(p_max=p_max,
+                             p_hat=tuple(h for h, _ in per_replica),
+                             root_awake=tuple(a for _, a in per_replica))
 
 
 def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False,
@@ -354,11 +500,15 @@ def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False,
     """Survival estimates over a p grid.
 
     Uncoupled (default): each grid point is exactly estimate_survival at
-    that p.  Coupled: every replica shares one realization (frog counts,
-    walk steps, lifetime uniforms) across all grid points, survival is
-    evaluated time-free as activation-cluster percolation with awake_cap
-    as the total-woken-frogs cutoff, and the per-replica indicator is
-    asserted nondecreasing in p.
+    that p, and a replica survives when more than awake_cap frogs are
+    awake at once or the horizon is reached.  Coupled: every replica
+    shares one realization (frog counts, lifetime and jump uniforms) across
+    all p, survival is time-free activation-cluster percolation, and a
+    replica survives when more than awake_cap frogs are woken in total;
+    horizon is ignored.  One threshold pass per replica
+    (coupled_thresholds) gives its critical value p_hat, and the replica
+    survives at p < 1 iff p_hat < p, so the indicator is nondecreasing in
+    p by construction; at p = 1 it survives iff its root holds a frog.
     """
     ps = [_check_p(x) for x in p_values]
     if not ps:
@@ -368,20 +518,8 @@ def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False,
     if not coupled:
         return [estimate_survival(replace(config, p=x), replicas, workers=workers)
                 for x in ps]
-    order = sorted(set(ps))
-    base = config.replica_index
-    per_replica = _map_replicas(
-        lambda r: _coupled_replica(config, order, r),
-        range(base, base + replicas), workers)
-    survived = {x: sum(ind[i] for ind in per_replica)
-                for i, x in enumerate(order)}
-    out = []
-    for x in ps:
-        s = survived[x]
-        lo, hi = wilson_interval(s, replicas)
-        out.append(SurvivalEstimate(p=x, replicas=replicas, survived=s,
-                                    fraction=s / replicas, ci_low=lo, ci_high=hi))
-    return out
+    p_max = max((x for x in ps if x < 1.0), default=0.0)
+    return coupled_thresholds(config, p_max, replicas, workers).estimates(ps)
 
 
 @dataclass(frozen=True)
@@ -479,7 +617,7 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
     """One realization drives both events for a target y at distance k:
     y in range(x) (some frog's walk visits y) and y in ball(x) (some
     frog's lifetime reaches k).  The walk cannot visit y without making k
-    jumps, so range containment in ball is asserted pathwise; the ball
+    jumps, so range containment in ball is checked pathwise; the ball
     estimate is checked against 1 - pgf(1 - p^k) and the range estimate
     against edge_open_prob.
     """
@@ -523,7 +661,8 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
         step += 1
 
     ball = jumps >= k
-    assert not np.any(hit & ~ball), "a walk visit implies a lifetime of at least k"
+    if np.any(hit & ~ball):
+        raise RuntimeError("a walk visited the target with fewer than k jumps")
     hit_t = np.bincount(trial_idx[hit], minlength=trials) > 0
     ball_t = np.bincount(trial_idx[ball], minlength=trials) > 0
     end_type = 1 + (base % 2)

@@ -130,6 +130,14 @@ def test_sweep_coupled_json_is_monotone(capsys):
     assert doc["coupled"] is True
     fr = [row["fraction"] for row in doc["rows"]]
     assert fr == sorted(fr)
+    q = doc["p_hat_quantiles"]
+    assert q["p_max"] == 0.95
+    # p_hat is resolved below p_max only; the rest are counted, not placed
+    assert q["above_p_max"] == 40 - doc["rows"][-1]["survived"]
+    qs = [q[k] for k in ("min", "q25", "median", "q75", "max")]
+    finite = [x for x in qs if x is not None]
+    assert qs == finite + [None] * (5 - len(finite))
+    assert finite == sorted(finite) and all(0.0 <= x < 0.95 for x in finite)
 
 
 def test_sweep_output_file(tmp_path, capsys):

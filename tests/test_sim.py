@@ -3,10 +3,13 @@
 Determinism is pinned at the outcome level (same seed, same result,
 regardless of worker count), conservation of the awake population is
 checked through a frog-count law that records how often it was sampled,
-and the coupled sweep's monotonicity is exercised end to end.
+and the coupled threshold pass is matched bitwise against a per-p
+breadth-first search over the same realization.
 """
 
 import dataclasses
+import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,11 +19,13 @@ from bifrog.bounds import lb_biregular
 from bifrog.hitting import edge_open_prob
 from bifrog.laws import Bernoulli, Constant, Poisson
 from bifrog.sim import (
+    CoupledThresholds,
     GwOutcome,
     SimConfig,
     SimOutcome,
     SimResourceError,
     SurvivalEstimate,
+    coupled_thresholds,
     estimate_survival,
     gw_progeny_masses,
     mc_range_vs_disk,
@@ -207,6 +212,136 @@ def test_coupled_sweep_certain_survival_at_p_one():
     rows = sweep(cfg, [0.2, 1.0], replicas=25, coupled=True)
     assert rows[1].fraction == 1.0
     assert rows[0].fraction == 0.0
+
+
+class _MemoRealization(sim._Realization):
+    """The same random numbers, memoized so one realization serves many p."""
+
+    def __init__(self, config, replica):
+        super().__init__(config, replica)
+        self._eta, self._blocks = {}, {}
+
+    def eta(self, vid):
+        if vid not in self._eta:
+            self._eta[vid] = super().eta(vid)
+        return self._eta[vid]
+
+    def walk_block(self, vid, frog, block):
+        k = (vid, frog, block)
+        if k not in self._blocks:
+            self._blocks[k] = super().walk_block(vid, frog, block)
+        return self._blocks[k]
+
+
+def _bfs_survives(real, p, cap):
+    """Per-p oracle: breadth-first activation cluster of the root, where a
+    frog steps while its lifetime uniforms are below p."""
+    if p >= 1.0:
+        return real.eta(0) >= 1
+    if p <= 0.0:
+        return False
+    total = real.eta(0)
+    if total > cap:
+        return True
+    awake = {0}
+    queue = deque([(0, 0)])
+    while queue:
+        v, odd = queue.popleft()
+        for frog in range(real.eta(v)):
+            walk = sim._Walk(real, v, frog, odd)
+            while walk.next_life() < p:
+                y = walk.step()
+                if y not in awake:
+                    awake.add(y)
+                    total += real.eta(y)
+                    if total > cap:
+                        return True
+                    queue.append((y, walk.odd))
+    return False
+
+
+_ORACLE_GRID = [round(0.5 + 0.05 * i, 2) for i in range(10)]
+
+
+@pytest.mark.parametrize("tree,law,seed", [
+    (T22, Constant(1), 41),
+    (T23, Poisson(1.0), 42),
+    (T22, Bernoulli(0.6), 43),
+])
+def test_threshold_pass_matches_per_p_bfs(tree, law, seed):
+    cfg = SimConfig(tree=tree, law=law, p=0.5, awake_cap=300, seed=seed)
+    replicas = 170
+    th = coupled_thresholds(cfg, max(_ORACLE_GRID), replicas)
+    empty_roots = 0
+    for r in range(replicas):
+        real = _MemoRealization(cfg, r)
+        got = [th.p_hat[r] < p for p in _ORACLE_GRID]
+        want = [_bfs_survives(real, p, cfg.awake_cap) for p in _ORACLE_GRID]
+        assert got == want, f"replica {r}: p_hat={th.p_hat[r]}"
+        assert th.root_awake[r] == (real.eta(0) >= 1)
+        empty_roots += not th.root_awake[r]
+    # both outcomes occur on the grid, and laws with mass at 0 empty some roots
+    assert 0 < sum(x < max(_ORACLE_GRID) for x in th.p_hat) < replicas
+    assert (empty_roots > 0) == (law.p0 > 0)
+
+
+def test_p_hat_does_not_depend_on_p_max():
+    cfg = SimConfig(tree=T23, law=Poisson(1.0), p=0.5, awake_cap=300, seed=44)
+    high = coupled_thresholds(cfg, 0.95, 60)
+    low = coupled_thresholds(cfg, 0.7, 60)
+    assert high.root_awake == low.root_awake
+    for a, b in zip(high.p_hat, low.p_hat):
+        assert b == (a if a < 0.7 else math.inf)
+    assert any(a < 0.7 for a in high.p_hat) and any(0.7 <= a < 0.95 for a in high.p_hat)
+
+
+def test_walk_blocks_are_one_philox_stream():
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, seed=45)
+    real = sim._Realization(cfg, 3)
+    frog, purpose = 2, sim._PUR_WALK
+    fresh = np.random.Generator(np.random.Philox(counter=[0, frog, purpose, 0],
+                                                 key=np.array(real.key, dtype=np.uint64)))
+    stream = fresh.random(6 * sim._BLOCK_PAIRS).tolist()
+    for block in (2, 0, 1):
+        lo = 2 * sim._BLOCK_PAIRS * block
+        assert real.walk_block(0, frog, block) == stream[lo:lo + 2 * sim._BLOCK_PAIRS]
+
+
+def test_rng_keys_follow_the_tree_not_the_visit_order():
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, seed=46)
+    a, b = sim._Realization(cfg, 0), sim._Realization(cfg, 0)
+    # a visits child 0 then child 1 of the root; b the other way round
+    a1, a2 = a.step(0, 0, 0.1), a.step(0, 0, 0.5)
+    b2, b1 = b.step(0, 0, 0.5), b.step(0, 0, 0.1)
+    assert (a1, a2) == (b2, b1) == (1, 2)
+    assert a.rng_key[a1] == b.rng_key[b1] != a.rng_key[a2] == b.rng_key[b2]
+    assert a.walk_block(a1, 0, 0) == b.walk_block(b1, 0, 0)
+
+
+def test_long_walk_raises_resource_error(monkeypatch):
+    monkeypatch.setattr(sim, "_MAX_WALK_STEPS", 3)
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=10**6, seed=47)
+    with pytest.raises(SimResourceError):
+        coupled_thresholds(cfg, 0.95, 5)
+
+
+def test_coupled_thresholds_api():
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=200, seed=48)
+    th = coupled_thresholds(cfg, 0.8, 30)
+    assert isinstance(th, CoupledThresholds)
+    assert th.estimates([0.8, 0.7, 1.0]) == sweep(cfg, [0.8, 0.7, 1.0], 30, coupled=True)
+    assert all(x < 0.8 or x == math.inf for x in th.p_hat)
+    assert th.survived(0.0) == 0
+    with pytest.raises(ValueError):
+        th.survived(0.9)
+    q = th.quantiles()
+    assert q["above_p_max"] == 30 - th.survived(0.8)
+    finite = [q[k] for k in ("min", "q25", "median", "q75", "max") if q[k] is not None]
+    assert finite == sorted(finite) and finite[0] == min(th.p_hat)
+    with pytest.raises(ValueError):
+        coupled_thresholds(cfg, 1.0, 5)
+    with pytest.raises(ValueError):
+        coupled_thresholds(cfg, 0.8, 0)
 
 
 def test_sweep_validation():
