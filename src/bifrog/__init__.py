@@ -19,7 +19,6 @@ from .sim import (CoupledThresholds, GwOutcome, RangeDiskReport, SimConfig,
                   coupled_thresholds, estimate_survival, gw_progeny_masses,
                   mc_range_vs_disk, run_frog, run_multitype_gw, sweep,
                   wilson_interval)
-from .tree import (ROOT, TreeParams, VertexAddr, children, degree, distance,
-                   neighbors, num_children, parent, parity, validate_addr)
+from .tree import TreeParams
 
 __version__ = "0.1.0"

@@ -131,12 +131,11 @@ def cmd_sweep(args) -> int:
              "eta": args.eta, "d1": args.d1, "d2": args.d2}
     if args.coupled:
         p_max = max((x for x in ps if x < 1.0), default=0.0)
-        thresholds = sim.coupled_thresholds(config, p_max, args.replicas,
-                                            workers=args.workers)
+        thresholds = sim.coupled_thresholds(config, p_max, args.replicas)
         rows = thresholds.estimates(ps)
         extra["p_hat_quantiles"] = thresholds.quantiles()
     else:
-        rows = sim.sweep(config, ps, args.replicas, workers=args.workers)
+        rows = sim.sweep(config, ps, args.replicas)
     columns = ["p", "replicas", "survived", "fraction", "ci_low", "ci_high"]
     _emit(args, "sweep", columns,
           [[r.p, r.replicas, r.survived, r.fraction, r.ci_low, r.ci_high]
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--awake-cap then bounds the total of woken frogs and "
                         "--horizon is ignored")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     _add_output_opts(p)
     p.set_defaults(func=cmd_sweep)
 

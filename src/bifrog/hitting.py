@@ -124,44 +124,64 @@ def _auto_escape_radius(p: float) -> int:
     return max(64, int(math.ceil(math.log(1e-15) / math.log(p))) if p > 0 else 64)
 
 
+_CHAIN_STEP_CAP = 10 ** 6
+
+
+def _distance_chain(rng: np.random.Generator, t: TreeParams, p: float,
+                    m: np.ndarray, parity: int, radius: int) -> tuple:
+    """Killed walks tracked only by their distance to one target vertex.
+
+    Walker i starts at distance m[i]; a vertex at distance d from the
+    target has parity (parity + d) % 2: 0 for type 1, 1 for type 2.  Each
+    step, every alive walker survives with probability p (one uniform
+    each, in index order), then each survivor steps toward the target with
+    probability 1/deg of its vertex and away otherwise (one uniform each,
+    in index order).  A walker stops on the target or beyond radius.
+    Returns (hit, jumps) per walker; RuntimeError if a walker is still
+    alive after _CHAIN_STEP_CAP steps.
+    """
+    hit = np.zeros(m.size, dtype=bool)
+    jumps = np.zeros(m.size, dtype=np.int64)
+    idx = np.arange(m.size, dtype=np.int64)
+    steps = 0
+    while idx.size:
+        if steps == _CHAIN_STEP_CAP:
+            raise RuntimeError(f"{idx.size} killed walks still alive after "
+                               f"{_CHAIN_STEP_CAP} steps")
+        keep = rng.random(idx.size) < p
+        idx, m = idx[keep], m[keep]
+        if idx.size:
+            deg = np.where((parity + m) % 2 == 0, t.d1 + 1, t.d2 + 1)
+            m = np.where(rng.random(idx.size) < 1.0 / deg, m - 1, m + 1)
+            jumps[idx] += 1
+            arrived = m == 0
+            hit[idx[arrived]] = True
+            stay = ~arrived & (m <= radius)
+            idx, m = idx[stay], m[stay]
+        steps += 1
+    return hit, jumps
+
+
 def mc_hit_neighbor(t: TreeParams, p: float, start_type: int, trials: int,
-                    seed: int = 0, escape_radius: int | None = None,
-                    step_cap: int = 10 ** 6) -> HitEstimate:
+                    seed: int = 0) -> HitEstimate:
     """Monte Carlo estimate of alpha (start_type 1) or beta (start_type 2).
 
-    Tracks only the distance to the target neighbor: from distance m the
-    walk steps to m - 1 with probability 1/deg and to m + 1 otherwise,
-    where deg alternates with the parity of the current vertex.  Walkers
-    past escape_radius are retired as misses; at p = 1 this undercounts
-    hits by a one-sided, exponentially small amount (and is the only
-    reason the loop terminates there).
+    Each trial is one walker at distance 1 from the target neighbor, run
+    through _distance_chain.  Walkers past _auto_escape_radius(p) are
+    retired as misses; at p = 1 this undercounts hits by a one-sided,
+    exponentially small amount (and is the only reason the walks end
+    there).
     """
     p = _check_p(p)
     if start_type not in (1, 2):
         raise ValueError(f"start_type must be 1 or 2, got {start_type}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if escape_radius is None:
-        escape_radius = _auto_escape_radius(p)
-
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x48495421))))
-    degs = (t.d1 + 1, t.d2 + 1)
-    m = np.ones(trials, dtype=np.int64)
-    hits = 0
-    step = 0
-    while m.size and step < step_cap:
-        # walkers jump in lockstep, so they share one vertex parity per step
-        cur_deg = degs[(start_type - 1 + step) % 2]
-        m = m[rng.random(m.size) < p]
-        if not m.size:
-            break
-        toward = rng.random(m.size) < 1.0 / cur_deg
-        m = np.where(toward, m - 1, m + 1)
-        hit_now = m == 0
-        hits += int(hit_now.sum())
-        m = m[~hit_now & (m <= escape_radius)]
-        step += 1
-
+    # the neighbor has the other type: parity start_type - 1 + 1
+    hit, _ = _distance_chain(rng, t, p, np.ones(trials, dtype=np.int64), start_type,
+                             _auto_escape_radius(p))
+    hits = int(hit.sum())
     prob = hits / trials
     stderr = math.sqrt(max(prob * (1.0 - prob), 1e-300) / trials)
     return HitEstimate(prob=prob, stderr=stderr, trials=trials, hits=hits)

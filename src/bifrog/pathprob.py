@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hitting import _check_p, edge_exponents, hitting_pair
+from .hitting import _auto_escape_radius, _check_p, edge_exponents, hitting_pair
 from .laws import InitLaw
 from .tree import TreeParams
 
@@ -172,8 +172,7 @@ class PathOpenEstimate:
 
 
 def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
-                 trials: int, seed: int = 0,
-                 escape_radius: int | None = None) -> PathOpenEstimate:
+                 trials: int, seed: int = 0) -> PathOpenEstimate:
     """Monte Carlo estimate of path_open_prob by direct event simulation.
 
     Frogs are realized at x_0 .. x_{k-1} and each walk is projected onto
@@ -181,16 +180,15 @@ def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
     excursion can only re-enter at its projection vertex, so the pair is a
     Markov chain.  The per-trial reach matrix REACH[l, m] (owner l's frogs
     visited x_m) feeds the inductive open-to-the-end recursion; frogs at
-    x_k are irrelevant to the event and not simulated.
+    x_k are irrelevant to the event and not simulated.  A walk farther
+    than hitting._auto_escape_radius(p) from the path is retired, as in
+    the distance-chain oracles.
     """
     p = _check_p(p)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k = query.k
-    if escape_radius is None:
-        radius = 300 if p >= 1.0 else max(64, int(math.ceil(math.log(1e-15) / math.log(p))))
-    else:
-        radius = escape_radius
+    radius = _auto_escape_radius(p)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x50415448))))
     degs = (t.d1 + 1, t.d2 + 1)

@@ -5,7 +5,8 @@ awake frog first survives with probability p, then jumps to a uniform
 neighbor; first visits to a vertex wake the frogs sleeping there, whose
 count is sampled exactly once per vertex.  Vertices are registered on
 first visit (the visited cluster stays connected, so a fresh vertex is
-always entered from its parent) in one store, _TreeTable.
+always entered from its parent) in _TreeTable, whose moves are vectorized
+over all frogs of a time step.
 
 The coupled sweep is time-free: a replica survives at p when its
 activation cluster (the root, and every vertex a walk from an awake
@@ -13,7 +14,9 @@ vertex visits while all its lifetime uniforms stay below p) holds more
 than awake_cap frogs; horizon plays no part.  All p share one realization
 per replica, so one minimax pass (after Newman and Ziff) finds the
 replica's critical value p_hat, the least p at which the woken total
-exceeds the cap, and survival at every p < 1 is p_hat < p.
+exceeds the cap, and survival at every p < 1 is p_hat < p.  That pass
+moves one frog at a time, so _Realization keeps its tree in plain Python
+containers.  Replicas run one after another in the calling thread.
 
 Randomness is Philox counter-based: one stream per (seed, replica) for
 run_frog, and for the coupled pass one Philox per replica whose counter
@@ -27,12 +30,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hitting import _auto_escape_radius, _check_p, edge_open_prob
+from .hitting import _auto_escape_radius, _check_p, _distance_chain, edge_open_prob
 from .laws import InitLaw
 from .tree import TreeParams
 
@@ -47,12 +49,21 @@ class SimResourceError(RuntimeError):
     safety cap allows."""
 
 
+def _check_vertex_count(need: int) -> None:
+    if need > ACTIVATED_HARD_CAP:
+        raise SimResourceError(
+            f"run would activate more than {ACTIVATED_HARD_CAP} vertices; "
+            f"lower the horizon, awake_cap or p_max")
+
+
 class _TreeTable:
-    """Registry of visited vertices, grown on first visit.
+    """Registry of the vertices run_frog visits, grown on first visit.
 
     Ids are dense ints in visit order with the root at 0.  Child links are
-    a dense (n, width) array for small degrees and an int-keyed dict
-    otherwise; parent links and the level parity bit are flat arrays.
+    a dense (n, width) array for small degrees and a dict keyed
+    vid * width + child index otherwise; parent links and the level parity
+    bit are flat arrays.  Only move() walks the tree, for a whole array of
+    frogs at once.
     """
 
     def __init__(self, t: TreeParams):
@@ -67,10 +78,7 @@ class _TreeTable:
         self.n = 1
 
     def _grow(self, need: int) -> None:
-        if need > ACTIVATED_HARD_CAP:
-            raise SimResourceError(
-                f"run would activate more than {ACTIVATED_HARD_CAP} vertices; "
-                f"lower the horizon or awake_cap")
+        _check_vertex_count(need)
         cap = self.parent.size
         if need <= cap:
             return
@@ -82,6 +90,15 @@ class _TreeTable:
         if self.dense:
             pad = np.full((new_cap - cap, self.width), -1, dtype=np.int64)
             self.child = np.concatenate([self.child, pad])
+
+    def _add(self, pv: np.ndarray) -> np.ndarray:
+        """Ids of new children of the vertices pv, one each, in order."""
+        fresh = np.arange(self.n, self.n + pv.size, dtype=np.int64)
+        self._grow(self.n + pv.size)
+        self.parent[fresh] = pv
+        self.level_odd[fresh] = 1 - self.level_odd[pv]
+        self.n += pv.size
+        return fresh
 
     def degrees(self, vids: np.ndarray) -> np.ndarray:
         return np.where(self.level_odd[vids] == 0, self.t.d1 + 1, self.t.d2 + 1)
@@ -98,56 +115,30 @@ class _TreeTable:
         cm = ~to_parent
         cpos = movers[cm]
         cidx = slot[cm] - (cpos != 0)
+        fresh = _EMPTY
         if self.dense:
             got = self.child[cpos, cidx]
-            fresh = _EMPTY
             miss = got < 0
             if miss.any():
-                keys = cpos[miss] * self.width + cidx[miss]
-                uniq = np.unique(keys)
-                fresh = np.arange(self.n, self.n + uniq.size, dtype=np.int64)
-                self._grow(self.n + uniq.size)
-                pv, ci = uniq // self.width, uniq % self.width
+                keys = np.unique(cpos[miss] * self.width + cidx[miss])
+                pv, ci = keys // self.width, keys % self.width
+                fresh = self._add(pv)
                 self.child[pv, ci] = fresh
-                self.parent[fresh] = pv
-                self.level_odd[fresh] = 1 - self.level_odd[pv]
-                self.n += uniq.size
                 got = self.child[cpos, cidx]
         else:
-            got = np.empty(cpos.size, dtype=np.int64)
-            fresh_ids = []
-            for i in range(cpos.size):
-                got[i] = self._child_scalar(int(cpos[i]), int(cidx[i]), fresh_ids)
-            fresh = np.asarray(fresh_ids, dtype=np.int64)
+            # fresh ids follow the order in which the movers reach them
+            child, n = self.child, self.n
+            got, new_keys = [], []
+            for key in (cpos * self.width + cidx).tolist():
+                y = child.get(key)
+                if y is None:
+                    y = child[key] = n + len(new_keys)
+                    new_keys.append(key)
+                got.append(y)
+            if new_keys:
+                fresh = self._add(np.array(new_keys, dtype=np.int64) // self.width)
         targets[cm] = got
         return targets, fresh
-
-    def _child_scalar(self, vid: int, cidx: int, fresh_ids=None) -> int:
-        if self.dense:
-            known = int(self.child[vid, cidx])
-            if known >= 0:
-                return known
-        else:
-            known = self.child.get(vid * self.width + cidx)
-            if known is not None:
-                return known
-        new = self.n
-        self._grow(new + 1)
-        self.parent[new] = vid
-        self.level_odd[new] = 1 - self.level_odd[vid]
-        if self.dense:
-            self.child[vid, cidx] = new
-        else:
-            self.child[vid * self.width + cidx] = new
-        self.n = new + 1
-        if fresh_ids is not None:
-            fresh_ids.append(new)
-        return new
-
-    def step_scalar(self, vid: int, slot: int) -> int:
-        if vid != 0 and slot == 0:
-            return int(self.parent[vid])
-        return self._child_scalar(vid, slot - (vid != 0))
 
 
 @dataclass(frozen=True)
@@ -242,27 +233,16 @@ class SurvivalEstimate:
     ci_high: float
 
 
-def _map_replicas(fn, indices, workers: int):
-    if workers <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
-
-
-def estimate_survival(config: SimConfig, replicas: int,
-                      workers: int = 1) -> SurvivalEstimate:
+def estimate_survival(config: SimConfig, replicas: int) -> SurvivalEstimate:
     """Censored-survival fraction over replicas with a Wilson 95% interval.
 
-    Replica r uses the substream keyed (seed, replica_index + r), so the
-    estimate is bitwise identical for any workers value.
+    Replica r uses the substream keyed (seed, replica_index + r).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     base = config.replica_index
-    outcomes = _map_replicas(
-        lambda r: run_frog(replace(config, replica_index=r)),
-        range(base, base + replicas), workers)
-    s = sum(o.survived for o in outcomes)
+    s = sum(run_frog(replace(config, replica_index=r)).survived
+            for r in range(base, base + replicas))
     lo, hi = wilson_interval(s, replicas)
     return SurvivalEstimate(p=config.p, replicas=replicas, survived=s,
                             fraction=s / replicas, ci_low=lo, ci_high=hi)
@@ -296,6 +276,10 @@ class _Realization:
     frog f's lifetime and jump uniforms with purpose _PUR_WALK, in blocks
     of _BLOCK_PAIRS pairs that are consecutive pieces of one stream.  One
     Philox serves the whole replica; every read first resets its counter.
+
+    The realization also owns the replica's tree, grown one jump at a
+    time: ids in visit order with the root at 0, a parent list, and a
+    child dict keyed vid * width + child index.
     """
 
     def __init__(self, config: SimConfig, replica: int):
@@ -304,8 +288,10 @@ class _Realization:
         self.key = [int(k) for k in key]
         self.gen = np.random.Generator(np.random.Philox(key=key))
         self.law = config.law
-        self.table = _TreeTable(config.tree)
         self.degs = (config.tree.d1 + 1, config.tree.d2 + 1)
+        self.width = max(config.tree.d1 + 1, config.tree.d2)
+        self.parent = [-1]
+        self.child = {}
         self.rng_key = [0]
 
     def _seek(self, vid: int, frog: int, purpose: int, offset: int) -> None:
@@ -330,9 +316,17 @@ class _Realization:
         """The vertex a jump with uniform u leads to from vid (parity odd)."""
         deg = self.degs[odd]
         slot = min(int(u * deg), deg - 1)
-        y = self.table.step_scalar(vid, slot)
-        if y == len(self.rng_key):
-            self.rng_key.append(_child_key(self.rng_key[vid], slot - (vid != 0)))
+        if vid and not slot:
+            return self.parent[vid]
+        cidx = slot - (vid != 0)
+        key = vid * self.width + cidx
+        y = self.child.get(key)
+        if y is None:
+            y = len(self.parent)
+            _check_vertex_count(y + 1)
+            self.child[key] = y
+            self.parent.append(vid)
+            self.rng_key.append(_child_key(self.rng_key[vid], cidx))
         return y
 
 
@@ -479,8 +473,8 @@ class CoupledThresholds:
         return out
 
 
-def coupled_thresholds(config: SimConfig, p_max: float, replicas: int,
-                       workers: int = 1) -> CoupledThresholds:
+def coupled_thresholds(config: SimConfig, p_max: float,
+                       replicas: int) -> CoupledThresholds:
     """Critical values p_hat of replicas replica_index .. + replicas - 1,
     resolved on [0, p_max); config.p and config.horizon are not used."""
     if not 0.0 <= p_max < 1.0:
@@ -488,15 +482,14 @@ def coupled_thresholds(config: SimConfig, p_max: float, replicas: int,
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     base = config.replica_index
-    per_replica = _map_replicas(lambda r: _replica_threshold(config, p_max, r),
-                                range(base, base + replicas), workers)
+    per_replica = [_replica_threshold(config, p_max, r)
+                   for r in range(base, base + replicas)]
     return CoupledThresholds(p_max=p_max,
                              p_hat=tuple(h for h, _ in per_replica),
                              root_awake=tuple(a for _, a in per_replica))
 
 
-def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False,
-          workers: int = 1) -> list:
+def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False) -> list:
     """Survival estimates over a p grid.
 
     Uncoupled (default): each grid point is exactly estimate_survival at
@@ -516,10 +509,9 @@ def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False,
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if not coupled:
-        return [estimate_survival(replace(config, p=x), replicas, workers=workers)
-                for x in ps]
+        return [estimate_survival(replace(config, p=x), replicas) for x in ps]
     p_max = max((x for x in ps if x < 1.0), default=0.0)
-    return coupled_thresholds(config, p_max, replicas, workers).estimates(ps)
+    return coupled_thresholds(config, p_max, replicas).estimates(ps)
 
 
 @dataclass(frozen=True)
@@ -628,38 +620,14 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
         raise ValueError("trials must be >= 1")
     if start_type not in (1, 2):
         raise ValueError(f"start_type must be 1 or 2, got {start_type}")
-    radius = _auto_escape_radius(p) + k
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence((seed, 0x52414E47))))
-    degs = (t.d1 + 1, t.d2 + 1)
     counts = law.sample(rng, trials)
     trial_idx = np.repeat(np.arange(trials, dtype=np.int64), counts)
-    n = trial_idx.size
-    m = np.full(n, k, dtype=np.int64)
-    jumps = np.zeros(n, dtype=np.int64)
-    hit = np.zeros(n, dtype=bool)
-    alive = np.ones(n, dtype=bool)
-    # vertex parity at distance m from y: start parity + (k - m) flips
+    # parity of y: the start's parity after k flips
     base = start_type - 1 + k
-    step = 0
-    while alive.any() and step < 10 ** 6:
-        ii = np.nonzero(alive)[0]
-        u = rng.random(ii.size)
-        dead = ii[u >= p]
-        alive[dead] = False
-        movers = ii[u < p]
-        if movers.size:
-            deg = np.where((base + m[movers]) % 2 == 0, degs[0], degs[1])
-            toward = rng.random(movers.size) < 1.0 / deg
-            m[movers] += np.where(toward, -1, 1)
-            jumps[movers] += 1
-            arrived = movers[m[movers] == 0]
-            hit[arrived] = True
-            alive[arrived] = False
-            gone = movers[m[movers] > radius]
-            alive[gone] = False
-        step += 1
-
+    hit, jumps = _distance_chain(rng, t, p, np.full(trial_idx.size, k, dtype=np.int64),
+                                 base, _auto_escape_radius(p) + k)
     ball = jumps >= k
     if np.any(hit & ~ball):
         raise RuntimeError("a walk visited the target with fewer than k jumps")

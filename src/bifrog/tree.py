@@ -5,6 +5,9 @@ odd distance have degree d2 + 1.  A vertex is addressed by its path from
 the root as a tuple of child indices; the root is the empty tuple.  The
 root carries d1 + 1 children (it has no parent), every other even-level
 vertex carries d1 and every odd-level vertex carries d2.
+
+The simulator keeps its own integer-id tree stores; the address helpers
+here are the independent oracle the tests check those stores against.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from bifrog import hitting
 from bifrog.hitting import (
     alpha,
     beta,
@@ -21,6 +22,7 @@ from bifrog.hitting import (
     system_residuals,
 )
 from bifrog.laws import Bernoulli, Constant, Poisson
+from bifrog.sim import mc_range_vs_disk
 from bifrog.tree import TreeParams
 
 TREES = [TreeParams(1, 2), TreeParams(2, 2), TreeParams(2, 3), TreeParams(3, 100)]
@@ -176,3 +178,13 @@ def test_mc_hit_neighbor_p_one_hits_surely_for_d1():
     t = TreeParams(2, 2)
     est = mc_hit_neighbor(t, 1.0, start_type=1, trials=20_000, seed=3)
     assert abs(est.prob - 0.5) < 4.0 * max(est.stderr, 1e-6) + 1e-3
+
+
+def test_distance_chain_raises_past_its_step_cap(monkeypatch):
+    # both distance-chain oracles share the kernel and its cap
+    monkeypatch.setattr(hitting, "_CHAIN_STEP_CAP", 3)
+    t = TreeParams(2, 3)
+    with pytest.raises(RuntimeError, match="still alive"):
+        mc_hit_neighbor(t, 0.9, start_type=1, trials=1_000, seed=1)
+    with pytest.raises(RuntimeError, match="still alive"):
+        mc_range_vs_disk(t, Constant(1), 0.9, k=3, trials=1_000, seed=1)

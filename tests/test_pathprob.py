@@ -169,3 +169,9 @@ def test_mc_path_open_agrees_with_recursion(ijk):
         est = mc_path_open(query, t, law, 0.7, trials=30_000, seed=17)
         ref = path_open_prob(query, t, law, 0.7)
         assert abs(est.prob - ref) < 4.0 * max(est.stderr, 1e-6)
+
+
+def test_mc_path_open_at_p_zero_opens_nothing():
+    est = mc_path_open(PathOpenQuery(1, 2, 3), TreeParams(2, 3), Constant(2), 0.0,
+                       trials=200, seed=1)
+    assert est.prob == 0.0

@@ -1,10 +1,11 @@
 """Tests for the discrete-time simulator and its companion processes.
 
-Determinism is pinned at the outcome level (same seed, same result,
-regardless of worker count), conservation of the awake population is
-checked through a frog-count law that records how often it was sampled,
-and the coupled threshold pass is matched bitwise against a per-p
-breadth-first search over the same realization.
+Determinism is pinned at the outcome level (same seed, same result),
+conservation of the awake population is checked through a frog-count law
+that records how often it was sampled, both tree stores are checked move
+by move against the tuple addresses of bifrog.tree, and the coupled
+threshold pass is matched bitwise against a per-p breadth-first search
+over the same realization.
 """
 
 import dataclasses
@@ -13,6 +14,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bifrog.sim as sim
 from bifrog.bounds import lb_biregular
@@ -34,7 +37,7 @@ from bifrog.sim import (
     sweep,
     wilson_interval,
 )
-from bifrog.tree import TreeParams
+from bifrog.tree import ROOT, TreeParams, children, degree, parent, parity
 
 T22 = TreeParams(2, 2)
 T23 = TreeParams(2, 3)
@@ -135,6 +138,91 @@ def test_wide_tree_uses_sparse_children():
                               awake_cap=2_000, seed=7)) == out
 
 
+# --- tree stores against the tuple-address oracle ---------------------------
+
+T3_100 = TreeParams(3, 100)  # width 100 > DENSE_CHILD_LIMIT: the dict branch
+
+#: walker count, then one jump uniform per walker per step
+_JUMPS = st.integers(1, 8).flatmap(lambda k: st.lists(
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k),
+    min_size=1, max_size=40))
+
+
+def _neighbor(tree, addr, slot):
+    """The stores' slot convention: at the root every slot is a child
+    index, elsewhere slot 0 is the parent and slot - 1 the child index."""
+    if addr and slot == 0:
+        return parent(addr)
+    return children(tree, addr)[slot - (len(addr) > 0)]
+
+
+def _bind(ids, addrs, y, addr):
+    """Record that a store gave id y to addr, one-to-one."""
+    if addr in ids:
+        assert ids[addr] == y
+    else:
+        assert y not in addrs
+        ids[addr], addrs[y] = y, addr
+
+
+@pytest.mark.parametrize("tree", [T23, T3_100])
+@given(jumps=_JUMPS)
+@settings(max_examples=60, deadline=None)
+def test_tree_table_moves_match_the_address_oracle(tree, jumps):
+    table = sim._TreeTable(tree)
+    assert table.dense == (tree == T23)
+    ids, addrs = {ROOT: 0}, {0: ROOT}
+    pos = np.zeros(len(jumps[0]), dtype=np.int64)
+    for us in jumps:
+        deg = np.array([degree(tree, addrs[v]) for v in pos.tolist()])
+        assert table.degrees(pos).tolist() == deg.tolist()
+        slot = np.minimum((np.array(us) * deg).astype(np.int64), deg - 1)
+        want = [_neighbor(tree, addrs[v], c) for v, c in zip(pos.tolist(), slot.tolist())]
+        n = table.n
+        pos, fresh = table.move(pos, slot)
+        assert fresh.tolist() == list(range(n, table.n))
+        assert {y for y, a in zip(pos.tolist(), want) if a not in ids} == set(fresh.tolist())
+        for y, a in zip(pos.tolist(), want):
+            _bind(ids, addrs, y, a)
+        for y in fresh.tolist():
+            assert table.parent[y] == ids[parent(addrs[y])]
+            assert table.level_odd[y] == (parity(addrs[y]) == 2)
+
+
+@pytest.mark.parametrize("tree", [T23, T3_100])
+@given(jumps=_JUMPS)
+@settings(max_examples=60, deadline=None)
+def test_realization_steps_match_the_address_oracle(tree, jumps):
+    real = sim._Realization(SimConfig(tree=tree, law=Constant(1), p=0.5, seed=49), 0)
+    ids, addrs = {ROOT: 0}, {0: ROOT}
+    walkers = [(0, 0)] * len(jumps[0])
+    for us in jumps:
+        moved = []
+        for (v, odd), u in zip(walkers, us):
+            deg = degree(tree, addrs[v])
+            assert real.degs[odd] == deg
+            assert odd == (parity(addrs[v]) == 2)
+            want = _neighbor(tree, addrs[v], min(int(u * deg), deg - 1))
+            n = len(real.parent)
+            y = real.step(v, odd, u)
+            assert y == (ids[want] if want in ids else n)
+            _bind(ids, addrs, y, want)
+            assert real.parent[y] == (ids[parent(want)] if want else -1)
+            key = 0
+            for c in want:
+                key = sim._child_key(key, c)
+            assert real.rng_key[y] == key
+            moved.append((y, odd ^ 1))
+        walkers = moved
+
+
+def test_realization_hard_cap_raises_resource_error(monkeypatch):
+    monkeypatch.setattr(sim, "ACTIVATED_HARD_CAP", 50)
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=10**6, seed=50)
+    with pytest.raises(SimResourceError):
+        coupled_thresholds(cfg, 0.95, 5)
+
+
 # --- survival estimation ----------------------------------------------------
 
 
@@ -157,12 +245,6 @@ def test_estimate_survival_consistency():
     assert est.fraction == est.survived / 60
     assert 0.0 <= est.ci_low <= est.fraction <= est.ci_high <= 1.0
     assert 0.1 < est.fraction < 1.0
-
-
-def test_estimate_survival_worker_count_is_invisible():
-    cfg = SimConfig(tree=T23, law=Poisson(1.0), p=0.75, horizon=150,
-                    awake_cap=1_500, seed=11)
-    assert estimate_survival(cfg, 40, workers=1) == estimate_survival(cfg, 40, workers=4)
 
 
 def test_estimate_survival_extremes():
@@ -198,12 +280,12 @@ def test_coupled_sweep_monotone_and_in_input_order():
     assert fr[0] < 0.2 and fr[-1] > 0.5
 
 
-def test_coupled_sweep_deterministic_and_worker_invariant():
+def test_coupled_sweep_deterministic():
     cfg = SimConfig(tree=T23, law=Poisson(1.0), p=0.5, horizon=100,
                     awake_cap=300, seed=29)
     grid = [0.6, 0.75, 0.9]
     a = sweep(cfg, grid, replicas=50, coupled=True)
-    b = sweep(cfg, grid, replicas=50, coupled=True, workers=3)
+    b = sweep(cfg, grid, replicas=50, coupled=True)
     assert a == b
 
 
