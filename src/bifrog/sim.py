@@ -6,7 +6,10 @@ neighbor; first visits to a vertex wake the frogs sleeping there, whose
 count is sampled exactly once per vertex.  Vertices are registered on
 first visit (the visited cluster stays connected, so a fresh vertex is
 always entered from its parent) in _TreeTable, whose moves are vectorized
-over all frogs of a time step.
+over all frogs of a time step: for small degrees one move is one gather
+from a flat neighbor table.  Every frog crosses one edge per step and a
+vertex is first entered at its own level parity, so all awake frogs share
+the parity of the time step and one degree serves the whole step.
 
 The coupled sweep is time-free: a replica survives at p when its
 activation cluster (the root, and every vertex a walk from an awake
@@ -40,6 +43,8 @@ from .tree import TreeParams
 
 DENSE_CHILD_LIMIT = 64
 ACTIVATED_HARD_CAP = 10 ** 7
+#: largest neighbor table, in bytes, that _TreeTable allocates
+DENSE_TABLE_BYTES = 1 << 30
 _MAX_WALK_STEPS = 10 ** 6
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -56,25 +61,38 @@ def _check_vertex_count(need: int) -> None:
             f"lower the horizon, awake_cap or p_max")
 
 
+def _extended(a: np.ndarray, size: int) -> np.ndarray:
+    """a followed by zeros up to size; the zero pages are not written."""
+    out = np.zeros(size, dtype=a.dtype)
+    out[:a.size] = a
+    return out
+
+
 class _TreeTable:
     """Registry of the vertices run_frog visits, grown on first visit.
 
-    Ids are dense ints in visit order with the root at 0.  Child links are
-    a dense (n, width) array for small degrees and a dict keyed
-    vid * width + child index otherwise; parent links and the level parity
-    bit are flat arrays.  Only move() walks the tree, for a whole array of
-    frogs at once.
+    Ids are dense ints in visit order with the root at 0, and parent links
+    are a flat array.  Only move() walks the tree, for a whole array of
+    frogs at once, and it takes a neighbor slot per frog: at the root every
+    slot is a child, below it slot 0 is the parent and slot c + 1 child c.
+    For small degrees nbr[v * stride + s], with stride max(d1, d2) + 1,
+    holds 1 + the id of the neighbor of v in slot s, or 0 while that child
+    is unvisited (so the table grows by zero pages), and a move is one
+    gather; the parent slot is written when the vertex is created.  Wider
+    trees keep a dict keyed vid * width + child index.  No level parity is
+    stored: run_frog's frogs all sit at the parity of the time step.
     """
 
     def __init__(self, t: TreeParams):
-        self.t = t
         self.width = max(t.d1 + 1, t.d2)
         self.dense = self.width <= DENSE_CHILD_LIMIT
+        self.stride = max(t.d1, t.d2) + 1
         cap = 1024
         self.parent = np.full(cap, -1, dtype=np.int64)
-        self.level_odd = np.zeros(cap, dtype=np.uint8)
-        self.child = (np.full((cap, self.width), -1, dtype=np.int64)
-                      if self.dense else {})
+        if self.dense:
+            self.nbr = np.zeros(cap * self.stride, dtype=np.int64)
+        else:
+            self.child = {}
         self.n = 1
 
     def _grow(self, need: int) -> None:
@@ -83,60 +101,62 @@ class _TreeTable:
         if need <= cap:
             return
         new_cap = min(max(need, 2 * cap), ACTIVATED_HARD_CAP)
-        self.parent = np.concatenate(
-            [self.parent, np.full(new_cap - cap, -1, dtype=np.int64)])
-        self.level_odd = np.concatenate(
-            [self.level_odd, np.zeros(new_cap - cap, dtype=np.uint8)])
         if self.dense:
-            pad = np.full((new_cap - cap, self.width), -1, dtype=np.int64)
-            self.child = np.concatenate([self.child, pad])
+            fit = DENSE_TABLE_BYTES // (self.stride * self.nbr.itemsize)
+            if need > fit:
+                raise SimResourceError(
+                    f"the neighbor table of {need} vertices would exceed "
+                    f"{DENSE_TABLE_BYTES} bytes; lower the horizon or awake_cap")
+            new_cap = min(new_cap, fit)
+            self.nbr = _extended(self.nbr, new_cap * self.stride)
+        self.parent = _extended(self.parent, new_cap)
 
     def _add(self, pv: np.ndarray) -> np.ndarray:
         """Ids of new children of the vertices pv, one each, in order."""
-        fresh = np.arange(self.n, self.n + pv.size, dtype=np.int64)
-        self._grow(self.n + pv.size)
-        self.parent[fresh] = pv
-        self.level_odd[fresh] = 1 - self.level_odd[pv]
-        self.n += pv.size
-        return fresh
-
-    def degrees(self, vids: np.ndarray) -> np.ndarray:
-        return np.where(self.level_odd[vids] == 0, self.t.d1 + 1, self.t.d2 + 1)
+        lo, hi = self.n, self.n + pv.size
+        self._grow(hi)
+        self.parent[lo:hi] = pv
+        if self.dense:
+            self.nbr[lo * self.stride:hi * self.stride:self.stride] = pv + 1
+        self.n = hi
+        return np.arange(lo, hi, dtype=np.int64)
 
     def move(self, movers: np.ndarray, slot: np.ndarray):
-        """One jump per mover; returns (targets, fresh ids in alloc order).
-
-        slot is uniform on [0, degree); at the root every slot is a child
-        index, elsewhere slot 0 is the parent and slot - 1 the child index.
-        """
+        """One jump per mover through slot, uniform on [0, degree); returns
+        (targets, fresh ids in alloc order)."""
+        if self.dense:
+            flat = movers * self.stride + slot
+            got = self.nbr[flat]
+            miss = got == 0
+            fresh = _EMPTY
+            if miss.any():
+                # one fresh id per distinct (parent id, slot), in that order
+                want = flat[miss]
+                keys = np.sort(want)
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+                fresh = self._add(keys // self.stride)
+                self.nbr[keys] = fresh + 1
+                got[miss] = self.nbr[want]
+            got -= 1
+            return got, fresh
         targets = np.empty_like(movers)
         to_parent = (slot == 0) & (movers != 0)
         targets[to_parent] = self.parent[movers[to_parent]]
         cm = ~to_parent
         cpos = movers[cm]
         cidx = slot[cm] - (cpos != 0)
+        # fresh ids follow the order in which the movers reach them
+        child, n = self.child, self.n
+        got, new_keys = [], []
+        for key in (cpos * self.width + cidx).tolist():
+            y = child.get(key)
+            if y is None:
+                y = child[key] = n + len(new_keys)
+                new_keys.append(key)
+            got.append(y)
         fresh = _EMPTY
-        if self.dense:
-            got = self.child[cpos, cidx]
-            miss = got < 0
-            if miss.any():
-                keys = np.unique(cpos[miss] * self.width + cidx[miss])
-                pv, ci = keys // self.width, keys % self.width
-                fresh = self._add(pv)
-                self.child[pv, ci] = fresh
-                got = self.child[cpos, cidx]
-        else:
-            # fresh ids follow the order in which the movers reach them
-            child, n = self.child, self.n
-            got, new_keys = [], []
-            for key in (cpos * self.width + cidx).tolist():
-                y = child.get(key)
-                if y is None:
-                    y = child[key] = n + len(new_keys)
-                    new_keys.append(key)
-                got.append(y)
-            if new_keys:
-                fresh = self._add(np.array(new_keys, dtype=np.int64) // self.width)
+        if new_keys:
+            fresh = self._add(np.array(new_keys, dtype=np.int64) // self.width)
         targets[cm] = got
         return targets, fresh
 
@@ -187,8 +207,9 @@ def run_frog(config: SimConfig) -> SimOutcome:
         survivors = pos.size
         woken = 0
         if survivors:
-            deg = table.degrees(pos)
-            slot = rng.integers(0, deg)
+            # every awake frog sits at the level parity of the step
+            deg = tree.d2 + 1 if now % 2 else tree.d1 + 1
+            slot = rng.integers(0, deg, size=survivors)
             targets, fresh = table.move(pos, slot)
             if fresh.size:
                 counts = law.sample(rng, fresh.size)
@@ -481,6 +502,8 @@ def coupled_thresholds(config: SimConfig, p_max: float,
         raise ValueError(f"p_max must lie in [0, 1), got {p_max}")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    if config.awake_cap < 1:
+        raise ValueError("awake_cap must be >= 1")
     base = config.replica_index
     per_replica = [_replica_threshold(config, p_max, r)
                    for r in range(base, base + replicas)]

@@ -151,6 +151,14 @@ def test_sweep_output_file(tmp_path, capsys):
     assert doc["rows"][0]["replicas"] == 10
 
 
+def test_sweep_coupled_rejects_awake_cap_zero(capsys):
+    code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2", "--p", "0.1",
+                          "--replicas", "3", "--coupled", "--awake-cap", "0")
+    assert code == 2
+    assert out == ""
+    assert "awake_cap" in err
+
+
 def test_sweep_rejects_bad_grid(capsys):
     code, _, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2",
                         "--p", "1.5", "--replicas", "5")

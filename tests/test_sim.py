@@ -1,6 +1,7 @@
 """Tests for the discrete-time simulator and its companion processes.
 
 Determinism is pinned at the outcome level (same seed, same result),
+run_frog outcomes are pinned bitwise for a grid of trees, laws and p,
 conservation of the awake population is checked through a frog-count law
 that records how often it was sampled, both tree stores are checked move
 by move against the tuple addresses of bifrog.tree, and the coupled
@@ -14,7 +15,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bifrog.sim as sim
@@ -41,6 +42,7 @@ from bifrog.tree import ROOT, TreeParams, children, degree, parent, parity
 
 T22 = TreeParams(2, 2)
 T23 = TreeParams(2, 3)
+T3_100 = TreeParams(3, 100)  # width 100 > DENSE_CHILD_LIMIT: the dict branch
 
 
 class _CountingLaw(Constant):
@@ -138,14 +140,152 @@ def test_wide_tree_uses_sparse_children():
                               awake_cap=2_000, seed=7)) == out
 
 
+def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
+    # at stride 3 the bound never binds before the vertex cap does
+    assert sim.DENSE_TABLE_BYTES >= sim.ACTIVATED_HARD_CAP * 3 * 8
+    bound = 2_000 * 3 * 8  # 2,000 vertices of T(2,2)
+    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
+    table = sim._TreeTable(T22)
+    table._grow(1_500)  # doubling would ask for 2,048 vertices
+    assert table.nbr.nbytes == bound
+    with pytest.raises(SimResourceError, match="bytes"):
+        table._grow(2_001)
+    cfg = SimConfig(tree=T22, law=Constant(1), p=1.0, horizon=10_000,
+                    awake_cap=10**6, seed=0)
+    with pytest.raises(SimResourceError, match="bytes"):
+        run_frog(cfg)
+    # the dict store of a wide tree holds no neighbor table
+    wide = dataclasses.replace(cfg, tree=T3_100, p=0.9, awake_cap=5_000)
+    assert run_frog(wide).vertices_activated > 2_000
+
+
+#: (d1, d2), law, p, seed -> SimOutcome fields of replicas 0..3 at horizon
+#: 400 and awake_cap 3,000, recorded before the dense store became a flat
+#: neighbor table; T(3,100) takes the dict store
+_PINNED_LAWS = {"const:1": Constant(1), "Poisson(1)": Poisson(1.0),
+                "Bernoulli(0.6)": Bernoulli(0.6)}
+_PINNED = {
+    ((2, 2), "const:1", 0.7, 0): [
+        (False, 6, None, 2, 3), (False, 6, None, 6, 8),
+        (False, 0, None, 1, 1), (False, 0, None, 1, 1),
+    ],
+    ((2, 2), "const:1", 0.9, 0): [
+        (True, None, "awake_cap", 3445, 4764), (True, None, "awake_cap", 3309, 4476),
+        (True, None, "awake_cap", 3750, 5128), (False, 0, None, 1, 1),
+    ],
+    ((2, 2), "Poisson(1)", 0.7, 1): [
+        (False, 0, None, 0, 1), (False, 0, None, 1, 1),
+        (False, 0, None, 0, 1), (False, 1, None, 2, 2),
+    ],
+    ((2, 2), "Poisson(1)", 0.9, 1): [
+        (False, 0, None, 0, 1), (False, 0, None, 1, 1),
+        (False, 0, None, 0, 1), (True, None, "awake_cap", 3033, 4235),
+    ],
+    ((2, 2), "Bernoulli(0.6)", 0.7, 2): [
+        (False, 0, None, 0, 1), (False, 0, None, 1, 1),
+        (False, 13, None, 5, 15), (False, 3, None, 1, 3),
+    ],
+    ((2, 2), "Bernoulli(0.6)", 0.9, 2): [
+        (False, 0, None, 0, 1), (False, 0, None, 1, 1),
+        (True, None, "awake_cap", 3035, 8437), (True, None, "awake_cap", 3091, 8713),
+    ],
+    ((2, 3), "const:1", 0.7, 10): [
+        (True, None, "awake_cap", 3050, 13569), (False, 2, None, 2, 3),
+        (False, 0, None, 1, 1), (False, 14, None, 6, 16),
+    ],
+    ((2, 3), "const:1", 0.9, 10): [
+        (True, None, "awake_cap", 3503, 4411), (True, None, "awake_cap", 3766, 4794),
+        (True, None, "awake_cap", 3274, 4191), (True, None, "awake_cap", 3775, 4752),
+    ],
+    ((2, 3), "Poisson(1)", 0.7, 11): [
+        (False, 0, None, 3, 1), (False, 0, None, 0, 1),
+        (False, 0, None, 0, 1), (False, 0, None, 0, 1),
+    ],
+    ((2, 3), "Poisson(1)", 0.9, 11): [
+        (True, None, "awake_cap", 3235, 4139), (False, 0, None, 0, 1),
+        (False, 0, None, 0, 1), (False, 0, None, 0, 1),
+    ],
+    ((2, 3), "Bernoulli(0.6)", 0.7, 12): [
+        (False, 1, None, 1, 2), (False, 15, None, 7, 22),
+        (False, 0, None, 0, 1), (False, 0, None, 1, 1),
+    ],
+    ((2, 3), "Bernoulli(0.6)", 0.9, 12): [
+        (True, None, "awake_cap", 3191, 8112), (True, None, "awake_cap", 3341, 8186),
+        (False, 0, None, 0, 1), (True, None, "awake_cap", 3058, 7586),
+    ],
+    ((1, 2), "const:1", 0.7, 20): [
+        (False, 8, None, 3, 6), (False, 6, None, 2, 4),
+        (False, 0, None, 1, 1), (False, 3, None, 2, 2),
+    ],
+    ((1, 2), "const:1", 0.9, 20): [
+        (True, None, "awake_cap", 3091, 5496), (True, None, "awake_cap", 3108, 5567),
+        (False, 0, None, 1, 1), (True, None, "awake_cap", 3168, 5884),
+    ],
+    ((1, 2), "Poisson(1)", 0.7, 21): [
+        (False, 0, None, 0, 1), (False, 4, None, 4, 4),
+        (False, 4, None, 5, 6), (False, 0, None, 0, 1),
+    ],
+    ((1, 2), "Poisson(1)", 0.9, 21): [
+        (False, 0, None, 0, 1), (True, None, "awake_cap", 3109, 5972),
+        (False, 21, None, 5, 8), (False, 0, None, 0, 1),
+    ],
+    ((1, 2), "Bernoulli(0.6)", 0.7, 22): [
+        (False, 15, None, 5, 20), (False, 0, None, 1, 1),
+        (False, 0, None, 1, 1), (False, 0, None, 1, 1),
+    ],
+    ((1, 2), "Bernoulli(0.6)", 0.9, 22): [
+        (True, None, "awake_cap", 3019, 17226), (False, 0, None, 1, 1),
+        (True, None, "awake_cap", 3040, 16975), (False, 11, None, 3, 5),
+    ],
+    ((3, 100), "const:1", 0.7, 30): [
+        (False, 1, None, 2, 2), (True, None, "awake_cap", 3433, 6634),
+        (False, 0, None, 1, 1), (True, None, "awake_cap", 3301, 6877),
+    ],
+    ((3, 100), "const:1", 0.9, 30): [
+        (False, 1, None, 2, 2), (True, None, "awake_cap", 3954, 4483),
+        (True, None, "awake_cap", 4678, 5359), (True, None, "awake_cap", 3731, 4329),
+    ],
+    ((3, 100), "Poisson(1)", 0.7, 31): [
+        (False, 0, None, 0, 1), (True, None, "awake_cap", 3195, 6893),
+        (False, 0, None, 0, 1), (False, 0, None, 1, 1),
+    ],
+    ((3, 100), "Poisson(1)", 0.9, 31): [
+        (False, 0, None, 0, 1), (True, None, "awake_cap", 3220, 3776),
+        (False, 0, None, 0, 1), (True, None, "awake_cap", 3134, 3636),
+    ],
+    ((3, 100), "Bernoulli(0.6)", 0.7, 32): [
+        (False, 5, None, 2, 5), (False, 0, None, 0, 1),
+        (True, None, "awake_cap", 3046, 34397), (False, 1, None, 1, 2),
+    ],
+    ((3, 100), "Bernoulli(0.6)", 0.9, 32): [
+        (True, None, "awake_cap", 3660, 7927), (False, 0, None, 0, 1),
+        (True, None, "awake_cap", 4097, 8745), (False, 1, None, 1, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("tree,law,p,seed", list(_PINNED))
+def test_run_frog_outcomes_are_pinned(tree, law, p, seed):
+    cfg = SimConfig(tree=TreeParams(*tree), law=_PINNED_LAWS[law], p=p,
+                    horizon=400, awake_cap=3_000, seed=seed)
+    got = [dataclasses.astuple(run_frog(dataclasses.replace(cfg, replica_index=r)))
+           for r in range(4)]
+    assert got == _PINNED[tree, law, p, seed]
+
+
 # --- tree stores against the tuple-address oracle ---------------------------
 
-T3_100 = TreeParams(3, 100)  # width 100 > DENSE_CHILD_LIMIT: the dict branch
 
-#: walker count, then one jump uniform per walker per step
-_JUMPS = st.integers(1, 8).flatmap(lambda k: st.lists(
-    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k),
-    min_size=1, max_size=40))
+def _jumps(walkers, max_steps):
+    """A walker count, then one jump uniform per walker per step."""
+    return walkers.flatmap(lambda k: st.lists(
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k),
+        min_size=1, max_size=max_steps))
+
+
+_JUMPS = _jumps(st.integers(1, 8), 40)
+#: many walkers at the root, so several enter one unvisited child at once
+_CROWD = _jumps(st.integers(12, 32), 6)
 
 
 def _neighbor(tree, addr, slot):
@@ -166,27 +306,40 @@ def _bind(ids, addrs, y, addr):
 
 
 @pytest.mark.parametrize("tree", [T23, T3_100])
-@given(jumps=_JUMPS)
+@given(jumps=st.one_of(_JUMPS, _CROWD))
+# every walker takes the root's slot 0 (a child), then the child's (the root)
+@example(jumps=[[0.0] * 8, [0.0] * 8])
 @settings(max_examples=60, deadline=None)
 def test_tree_table_moves_match_the_address_oracle(tree, jumps):
     table = sim._TreeTable(tree)
     assert table.dense == (tree == T23)
     ids, addrs = {ROOT: 0}, {0: ROOT}
     pos = np.zeros(len(jumps[0]), dtype=np.int64)
-    for us in jumps:
+    for step, us in enumerate(jumps):
         deg = np.array([degree(tree, addrs[v]) for v in pos.tolist()])
-        assert table.degrees(pos).tolist() == deg.tolist()
+        # run_frog draws one degree per step: all walkers share its parity
+        assert set(deg.tolist()) == {tree.d2 + 1 if step % 2 else tree.d1 + 1}
         slot = np.minimum((np.array(us) * deg).astype(np.int64), deg - 1)
         want = [_neighbor(tree, addrs[v], c) for v, c in zip(pos.tolist(), slot.tolist())]
         n = table.n
         pos, fresh = table.move(pos, slot)
         assert fresh.tolist() == list(range(n, table.n))
-        assert {y for y, a in zip(pos.tolist(), want) if a not in ids} == set(fresh.tolist())
+        entered = [y for y, a in zip(pos.tolist(), want) if a not in ids]
+        # one id per unvisited vertex, however many walkers enter it
+        assert len({a for a in want if a not in ids}) == fresh.size
+        assert set(entered) == set(fresh.tolist())
         for y, a in zip(pos.tolist(), want):
             _bind(ids, addrs, y, a)
+        if table.dense:
+            # fresh ids ascend in (parent id, slot) order
+            keys = [(ids[parent(addrs[y])], addrs[y][-1] + (len(addrs[y]) > 1))
+                    for y in fresh.tolist()]
+            assert keys == sorted(keys)
+        else:
+            # fresh ids follow the order in which the walkers reach them
+            assert fresh.tolist() == list(dict.fromkeys(entered))
         for y in fresh.tolist():
             assert table.parent[y] == ids[parent(addrs[y])]
-            assert table.level_odd[y] == (parity(addrs[y]) == 2)
 
 
 @pytest.mark.parametrize("tree", [T23, T3_100])
@@ -424,6 +577,14 @@ def test_coupled_thresholds_api():
         coupled_thresholds(cfg, 1.0, 5)
     with pytest.raises(ValueError):
         coupled_thresholds(cfg, 0.8, 0)
+
+
+def test_coupled_path_rejects_awake_cap_below_one():
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=0, seed=48)
+    with pytest.raises(ValueError, match="awake_cap"):
+        coupled_thresholds(cfg, 0.9, 3)
+    with pytest.raises(ValueError, match="awake_cap"):
+        sweep(cfg, [0.1, 0.9], 3, coupled=True)
 
 
 def test_sweep_validation():
