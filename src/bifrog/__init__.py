@@ -1,19 +1,17 @@
 """Critical-probability bounds and simulation for the frog model with
 death on biregular trees."""
 
-from .bounds import (AsymptoticRow, BoundsReport, DiskSeries, MomentMatrix,
-                     NoRootError, RootResult, TABLE_REFERENCE, TABLE_ROWS,
-                     asymptotic_check, bounds_report, disk_mean_offspring,
-                     f_n_value, f_value, lb_alves, lb_biregular,
-                     moment_matrix, spectral_radius, table1, ub_closed,
-                     ub_root, ub_root_n)
-from .hitting import (HitEstimate, HittingPair, alpha, beta, edge_open_prob,
-                      hitting_pair, mc_hit_neighbor, system_residuals)
+from .bounds import (AsymptoticRow, BoundsReport, DiskSeries, NoRootError,
+                     RootResult, TABLE_REFERENCE, TABLE_ROWS, asymptotic_check,
+                     bounds_report, disk_mean_offspring, f_n_value, f_value,
+                     lb_alves, lb_biregular, spectral_radius, table1,
+                     ub_closed, ub_root, ub_root_n)
+from .hitting import (HitEstimate, HittingPair, edge_open_prob, hitting_pair,
+                      mc_hit_neighbor, system_residuals)
 from .laws import (Bernoulli, Constant, Geometric, InitLaw, Poisson,
                    describe_law, parse_law)
 from .pathprob import (PathOpenEstimate, PathOpenQuery, PathOpenTables,
-                       bernoulli_path_open, bernoulli_path_open_at,
-                       mc_path_open, path_open_prob)
+                       bernoulli_path_open, mc_path_open, path_open_prob)
 from .sim import (CoupledThresholds, GwOutcome, RangeDiskReport, SimConfig,
                   SimOutcome, SimResourceError, SurvivalEstimate,
                   coupled_thresholds, estimate_survival, gw_progeny_masses,

@@ -24,11 +24,8 @@ from .hitting import _check_p, hitting_pair
 from .laws import Constant, InitLaw, describe_law
 from .tree import TreeParams
 
-#: rows of the standard reference grid, all with eta == 1
-TABLE_ROWS = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4),
-              (3, 100), (3, 1000), (4, 10000))
-
 #: four-decimal reference values (lb_alves, lb_biregular, ub_root) per row
+#: of the standard reference grid, all with eta == 1
 TABLE_REFERENCE = {
     (1, 2): (0.6000, 0.6325, 0.8588),
     (1, 3): (0.5714, 0.6172, 0.8039),
@@ -40,6 +37,7 @@ TABLE_REFERENCE = {
     (3, 1000): (0.5002, 0.5347, 0.5743),
     (4, 10000): (0.5000, 0.5271, 0.5572),
 }
+TABLE_ROWS = tuple(TABLE_REFERENCE)
 
 
 class NoRootError(ValueError):
@@ -82,33 +80,15 @@ def lb_alves(big_d: int, mean_eta: float) -> float:
     return (big_d + 1) / (big_d * (e + 1) + 1)
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Mean offspring matrix of the embedded two-type process at p.
-
-    Type 1 particles produce only type 2 and vice versa, so the matrix is
-    anti-diagonal and its spectral radius is sqrt(m12 * m21).
-    """
-
-    m12: float
-    m21: float
-
-    @property
-    def spectral_radius(self) -> float:
-        return math.sqrt(self.m12 * self.m21)
-
-
-def moment_matrix(t: TreeParams, mean_eta: float, p: float) -> MomentMatrix:
+def spectral_radius(t: TreeParams, mean_eta: float, p: float) -> float:
+    """p sqrt((1 + d1(E+1))(1 + d2(E+1)) / kappa), the spectral radius
+    sqrt(m12 m21) of the anti-diagonal two-type mean matrix; equals 1 at
+    lb_biregular."""
     p = _check_p(p)
     e = _check_mean(mean_eta)
     m12 = p * (1.0 + t.d1 * (e + 1.0)) / (t.d1 + 1)
     m21 = p * (1.0 + t.d2 * (e + 1.0)) / (t.d2 + 1)
-    return MomentMatrix(m12=m12, m21=m21)
-
-
-def spectral_radius(t: TreeParams, mean_eta: float, p: float) -> float:
-    """p sqrt((1 + d1(E+1))(1 + d2(E+1)) / kappa); equals 1 at lb_biregular."""
-    return moment_matrix(t, mean_eta, p).spectral_radius
+    return math.sqrt(m12 * m21)
 
 
 def f_value(t: TreeParams, q: float, p: float) -> float:

@@ -46,7 +46,7 @@ def check_hitting(trials: int = 50_000, seed: int = 0) -> list:
     return out
 
 
-def check_pathprob(seed: int = 0) -> list:
+def check_pathprob() -> list:
     out = []
     worst = 0.0
     a_hi = (3 + 1) / (3 * (2 + 1))
@@ -103,7 +103,8 @@ def check_asymptotics() -> list:
     ]
 
 
-def check_gw(runs: int = 1000, seed: int = 0) -> list:
+def check_gw(seed: int = 0) -> list:
+    runs = 1000
     out = []
     worst = 0.0
     laws = [Constant(1), Bernoulli(0.5), Poisson(1.0), Geometric(0.4)]
@@ -134,20 +135,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> list:
-    if name == "all":
-        out = []
-        for fn in SUITES.values():
-            out.extend(_call(fn, kwargs))
-        return out
-    if name not in SUITES:
+def run_suite(name: str, trials: int = 50_000, seed: int = 0) -> list:
+    """Rows of one suite, or of every suite in turn for name 'all'; trials
+    sizes the hitting suite, seed seeds the hitting and gw suites."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown check suite {name!r}; "
                          f"choose from {', '.join([*SUITES, 'all'])}")
-    return _call(SUITES[name], kwargs)
-
-
-def _call(fn, kwargs):
-    import inspect
-
-    accepted = inspect.signature(fn).parameters
-    return fn(**{k: v for k, v in kwargs.items() if k in accepted})
+    args = {"hitting": {"trials": trials, "seed": seed}, "gw": {"seed": seed}}
+    return [row for suite in (SUITES if name == "all" else [name])
+            for row in SUITES[suite](**args.get(suite, {}))]

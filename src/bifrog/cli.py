@@ -130,8 +130,8 @@ def cmd_sweep(args) -> int:
     extra = {"coupled": args.coupled, "seed": args.seed,
              "eta": args.eta, "d1": args.d1, "d2": args.d2}
     if args.coupled:
-        p_max = max((x for x in ps if x < 1.0), default=0.0)
-        thresholds = sim.coupled_thresholds(config, p_max, args.replicas)
+        thresholds = sim.coupled_thresholds(config, sim.grid_p_max(ps),
+                                            args.replicas)
         rows = thresholds.estimates(ps)
         extra["p_hat_quantiles"] = thresholds.quantiles()
     else:

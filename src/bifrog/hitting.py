@@ -1,9 +1,10 @@
 """Neighbor-hitting probabilities of the killed walk on the biregular tree.
 
 A walker dies with probability 1 - p before each step and otherwise jumps
-to a uniform neighbor.  alpha(t, p) is the probability that a walker
-started at an even-level (type 1) vertex ever sits on a fixed neighbor;
-beta(t, p) the same from an odd-level (type 2) vertex.  The pair solves
+to a uniform neighbor.  hitting_pair(t, p) is the pair (alpha, beta):
+alpha is the probability that a walker started at an even-level (type 1)
+vertex ever sits on a fixed neighbor, beta the same from an odd-level
+(type 2) vertex.  The pair solves
 
     alpha = p/(d1+1) + d1/(d1+1) p alpha beta
     beta  = p/(d2+1) + d2/(d2+1) p alpha beta
@@ -52,19 +53,12 @@ def hitting_pair(t: TreeParams, p: float) -> HittingPair:
     k = t.kappa
     disc = k * k - 2.0 * k * (d1 + d2) * p * p + (d2 - d1) ** 2 * p ** 4
     # disc >= 0 on [0,1]: its smaller root in p^2 is kappa/(sqrt(d1)+sqrt(d2))^2 >= 1
-    assert disc >= -1e-12 * k * k, (t, p, disc)
+    if disc < -1e-12 * k * k:
+        raise RuntimeError(f"negative discriminant {disc!r} at {t}, p={p!r}")
     root = math.sqrt(max(disc, 0.0))
     a = 2.0 * k * p / ((d1 + 1) * (k + p * p * (d2 - d1) + root))
     b = 2.0 * k * p / ((d2 + 1) * (k + p * p * (d1 - d2) + root))
     return HittingPair(a, b)
-
-
-def alpha(t: TreeParams, p: float) -> float:
-    return hitting_pair(t, p).alpha
-
-
-def beta(t: TreeParams, p: float) -> float:
-    return hitting_pair(t, p).beta
 
 
 def system_residuals(t: TreeParams, p: float, pair: HittingPair) -> tuple:
@@ -97,16 +91,12 @@ def edge_exponents(i: int, j: int, k: int) -> tuple:
     return (n - 1, n)
 
 
-def edge_open_from_pair(law: InitLaw, pair: HittingPair, i: int, j: int, k: int) -> float:
-    ea, eb = edge_exponents(i, j, k)
-    reach = pair.alpha ** ea * pair.beta ** eb
-    return 1.0 - law.pgf(1.0 - reach)
-
-
 def edge_open_prob(t: TreeParams, law: InitLaw, p: float, i: int, j: int, k: int) -> float:
     """P[some frog placed by the law at a type-i vertex reaches a fixed
     vertex at distance k of type j]."""
-    return edge_open_from_pair(law, hitting_pair(t, p), i, j, k)
+    ea, eb = edge_exponents(i, j, k)
+    a, b = hitting_pair(t, p)
+    return 1.0 - law.pgf(1.0 - a ** ea * b ** eb)
 
 
 @dataclass(frozen=True)

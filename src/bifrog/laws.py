@@ -186,7 +186,14 @@ class Geometric(InitLaw):
         return rng.geometric(1.0 - self.r, size).astype(np.int64) - 1
 
 
-_LAW_NAMES = "const:k | bernoulli:q | poisson:mu | geometric:r"
+#: spec name -> (law class, argument type, parameter field)
+_LAWS = {
+    "const": (Constant, int, "k"),
+    "bernoulli": (Bernoulli, float, "prob"),
+    "poisson": (Poisson, float, "mu"),
+    "geometric": (Geometric, float, "r"),
+}
+_LAW_NAMES = " | ".join(f"{name}:{field}" for name, (_, _, field) in _LAWS.items())
 
 
 def parse_law(text: str) -> InitLaw:
@@ -195,27 +202,18 @@ def parse_law(text: str) -> InitLaw:
     if not sep or not arg:
         raise ValueError(f"malformed law spec {text!r}; expected one of {_LAW_NAMES}")
     name = name.strip().lower()
+    if name not in _LAWS:
+        raise ValueError(f"unknown law {name!r}; expected one of {_LAW_NAMES}")
+    cls, kind, _ = _LAWS[name]
     try:
-        if name == "const":
-            return Constant(int(arg))
-        if name == "bernoulli":
-            return Bernoulli(float(arg))
-        if name == "poisson":
-            return Poisson(float(arg))
-        if name == "geometric":
-            return Geometric(float(arg))
+        return cls(kind(arg))
     except ValueError as exc:
         raise ValueError(f"bad law spec {text!r}: {exc}") from None
-    raise ValueError(f"unknown law {name!r}; expected one of {_LAW_NAMES}")
 
 
 def describe_law(law: InitLaw) -> str:
-    if isinstance(law, Constant):
-        return f"const:{law.k}"
-    if isinstance(law, Bernoulli):
-        return f"bernoulli:{law.prob:g}"
-    if isinstance(law, Poisson):
-        return f"poisson:{law.mu:g}"
-    if isinstance(law, Geometric):
-        return f"geometric:{law.r:g}"
+    for name, (cls, kind, field) in _LAWS.items():
+        if isinstance(law, cls):
+            value = getattr(law, field)
+            return f"{name}:{value}" if kind is int else f"{name}:{value:g}"
     return type(law).__name__

@@ -158,12 +158,6 @@ def bernoulli_path_open(n: int, q: float, a: float, b: float) -> float:
     return q * (a * b * (1.0 + q * (1.0 - b))) ** n * (1.0 + q * (1.0 - a)) ** (n - 1)
 
 
-def bernoulli_path_open_at(t: TreeParams, q: float, n: int, p: float) -> float:
-    """bernoulli_path_open evaluated at the tree's hitting pair for p."""
-    pair = hitting_pair(t, p)
-    return bernoulli_path_open(n, q, pair.alpha, pair.beta)
-
-
 @dataclass(frozen=True)
 class PathOpenEstimate:
     prob: float

@@ -234,9 +234,11 @@ def run_frog(config: SimConfig) -> SimOutcome:
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple:
+def wilson_interval(successes: int, n: int) -> tuple:
+    """Wilson 95% score interval for successes out of n."""
     if n <= 0:
         return (0.0, 1.0)
+    z = _Z95
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -254,6 +256,12 @@ class SurvivalEstimate:
     ci_high: float
 
 
+def _estimate(p: float, survived: int, n: int) -> SurvivalEstimate:
+    lo, hi = wilson_interval(survived, n)
+    return SurvivalEstimate(p=p, replicas=n, survived=survived,
+                            fraction=survived / n, ci_low=lo, ci_high=hi)
+
+
 def estimate_survival(config: SimConfig, replicas: int) -> SurvivalEstimate:
     """Censored-survival fraction over replicas with a Wilson 95% interval.
 
@@ -264,9 +272,7 @@ def estimate_survival(config: SimConfig, replicas: int) -> SurvivalEstimate:
     base = config.replica_index
     s = sum(run_frog(replace(config, replica_index=r)).survived
             for r in range(base, base + replicas))
-    lo, hi = wilson_interval(s, replicas)
-    return SurvivalEstimate(p=config.p, replicas=replicas, survived=s,
-                            fraction=s / replicas, ci_low=lo, ci_high=hi)
+    return _estimate(config.p, s, replicas)
 
 
 _PUR_ETA, _PUR_WALK = 1, 2
@@ -411,7 +417,6 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
         return math.inf, total >= 1
     if total > cap:
         return 0.0, True
-    awake = {0}
     ready = [_Walk(real, 0, f, 0) for f in range(total)]
     heap: list = []
     seq = 0
@@ -429,10 +434,10 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
                     seq += 1
                     heapq.heappush(heap, (life, seq, walk))
                     break
+                seen = len(real.parent)  # a vertex wakes as a walk adds it
                 y = walk.step()
-                if y in awake:
+                if y < seen:
                     continue
-                awake.add(y)
                 eta = real.eta(y)
                 total += eta
                 if total > cap:
@@ -471,14 +476,7 @@ class CoupledThresholds:
 
     def estimates(self, p_values) -> list:
         """One SurvivalEstimate per p, in input order."""
-        n = len(self.p_hat)
-        out = []
-        for x in p_values:
-            s = self.survived(x)
-            lo, hi = wilson_interval(s, n)
-            out.append(SurvivalEstimate(p=x, replicas=n, survived=s,
-                                        fraction=s / n, ci_low=lo, ci_high=hi))
-        return out
+        return [_estimate(x, self.survived(x), len(self.p_hat)) for x in p_values]
 
     def quantiles(self) -> dict:
         """Order-statistic quantiles of p_hat (None where they lie above
@@ -492,6 +490,11 @@ class CoupledThresholds:
         out["above_p_max"] = int(np.isinf(x).sum())
         out["p_max"] = self.p_max
         return out
+
+
+def grid_p_max(p_values) -> float:
+    """p_max for a coupled grid: its largest point below 1, else 0."""
+    return max((x for x in p_values if x < 1.0), default=0.0)
 
 
 def coupled_thresholds(config: SimConfig, p_max: float,
@@ -529,12 +532,9 @@ def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False) -> 
     ps = [_check_p(x) for x in p_values]
     if not ps:
         raise ValueError("p grid must be non-empty")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
     if not coupled:
         return [estimate_survival(replace(config, p=x), replicas) for x in ps]
-    p_max = max((x for x in ps if x < 1.0), default=0.0)
-    return coupled_thresholds(config, p_max, replicas).estimates(ps)
+    return coupled_thresholds(config, grid_p_max(ps), replicas).estimates(ps)
 
 
 @dataclass(frozen=True)

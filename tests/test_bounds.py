@@ -25,7 +25,6 @@ from bifrog.bounds import (
     f_value,
     lb_alves,
     lb_biregular,
-    moment_matrix,
     spectral_radius,
     table1,
     ub_closed,
@@ -81,11 +80,9 @@ def test_lb_alves_validation():
 
 
 def test_moment_matrix_entries():
+    # T(2,3), E = 1, p = 1/2: m12 = p 5/3, m21 = p 7/4, radius sqrt(m12 m21)
     t = TreeParams(2, 3)
-    m = moment_matrix(t, 1.0, 0.5)
-    assert abs(m.m12 - 0.5 * 5 / 3) < 1e-15
-    assert abs(m.m21 - 0.5 * 7 / 4) < 1e-15
-    assert abs(m.spectral_radius - math.sqrt(m.m12 * m.m21)) < 1e-15
+    assert abs(spectral_radius(t, 1.0, 0.5) - 0.5 * math.sqrt(35 / 12)) < 1e-15
 
 
 @pytest.mark.parametrize("mean_eta", [0.5, 1.0, 2.0, 5.0])

@@ -10,6 +10,9 @@ import json
 
 import pytest
 
+import bifrog.sim as sim
+from bifrog import checks
+from bifrog.checks import CheckResult
 from bifrog.cli import main, parse_p_grid
 
 
@@ -159,6 +162,15 @@ def test_sweep_coupled_rejects_awake_cap_zero(capsys):
     assert "awake_cap" in err
 
 
+def test_sweep_resource_error_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(sim, "ACTIVATED_HARD_CAP", 500)
+    code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2", "--p", "1",
+                          "--replicas", "2", "--awake-cap", "1000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("resource error:")
+
+
 def test_sweep_rejects_bad_grid(capsys):
     code, _, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2",
                         "--p", "1.5", "--replicas", "5")
@@ -183,6 +195,29 @@ def test_check_json_lists_results(capsys):
     doc = json.loads(out)
     assert doc["command"] == "check"
     assert all(row["passed"] for row in doc["rows"])
+
+
+def test_check_all_runs_every_suite(capsys):
+    code, out, err = _run(capsys, "check", "all", "--trials", "5000", "--format", "csv")
+    assert code == 0
+    assert err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 19
+    assert all(r["passed"] == "True" for r in rows)
+
+
+def test_check_failing_row_exits_one(capsys, monkeypatch):
+    monkeypatch.setitem(checks.SUITES, "asymptotics",
+                        lambda: [CheckResult("broken", False, "gap=1")])
+    code, out, err = _run(capsys, "check", "asymptotics")
+    assert code == 1
+    assert "broken" in out
+    assert err == "FAIL broken: gap=1\n"
+
+
+def test_run_suite_rejects_unknown_name():
+    with pytest.raises(ValueError, match="unknown check suite"):
+        checks.run_suite("nonsense")
 
 
 def test_check_unknown_suite_is_usage_error(capsys):

@@ -13,8 +13,6 @@ import pytest
 
 from bifrog import hitting
 from bifrog.hitting import (
-    alpha,
-    beta,
     edge_exponents,
     edge_open_prob,
     hitting_pair,
@@ -80,8 +78,7 @@ def test_small_p_is_linear_not_cancelled():
 @pytest.mark.parametrize("t", TREES, ids=str)
 def test_monotone_and_bounded(t):
     ps = np.linspace(0.0, 1.0, 101)
-    avals = np.array([alpha(t, p) for p in ps])
-    bvals = np.array([beta(t, p) for p in ps])
+    avals, bvals = np.array([hitting_pair(t, p) for p in ps]).T
     assert np.all(np.diff(avals) > -1e-15)
     assert np.all(np.diff(bvals) > -1e-15)
     assert np.all((avals >= 0.0) & (avals <= 1.0))
@@ -91,8 +88,10 @@ def test_monotone_and_bounded(t):
 def test_swap_symmetry():
     t = TreeParams(2, 5)
     for p in (0.2, 0.6, 0.95):
-        assert abs(alpha(t, p) - beta(t.swapped(), p)) < 1e-15
-        assert abs(beta(t, p) - alpha(t.swapped(), p)) < 1e-15
+        a, b = hitting_pair(t, p)
+        a_s, b_s = hitting_pair(t.swapped(), p)
+        assert abs(a - b_s) < 1e-15
+        assert abs(b - a_s) < 1e-15
 
 
 def test_p_out_of_range_rejected():
@@ -166,7 +165,7 @@ def test_mc_hit_neighbor_agrees_with_closed_form():
     t = TreeParams(2, 3)
     for p, start in ((0.6, 1), (0.85, 2)):
         est = mc_hit_neighbor(t, p, start_type=start, trials=40_000, seed=11)
-        ref = alpha(t, p) if start == 1 else beta(t, p)
+        ref = hitting_pair(t, p)[start - 1]
         assert abs(est.prob - ref) < 4.0 * max(est.stderr, 1e-6)
 
 

@@ -15,7 +15,6 @@ from bifrog.pathprob import (
     PathOpenQuery,
     PathOpenTables,
     bernoulli_path_open,
-    bernoulli_path_open_at,
     mc_path_open,
     path_open_prob,
 )
@@ -145,7 +144,7 @@ def test_bernoulli_helper_matches_general_recursion_at_tree():
             law = Bernoulli(q)
             for n in (1, 3, 6):
                 want = path_open_prob(PathOpenQuery(1, 1, 2 * n), t, law, p)
-                got = bernoulli_path_open_at(t, q, n, p)
+                got = bernoulli_path_open(n, q, *hitting_pair(t, p))
                 assert abs(got - want) < 1e-12
 
 

@@ -579,6 +579,20 @@ def test_coupled_thresholds_api():
         coupled_thresholds(cfg, 0.8, 0)
 
 
+def test_coupled_root_over_cap_survives_at_every_positive_p():
+    # three frogs at the root already exceed a cap of 2, so every replica's
+    # p_hat is 0: it survives at each p in (0, 1] and never at p = 0
+    cfg = SimConfig(tree=T22, law=Constant(3), p=0.01, awake_cap=2, seed=49)
+    th = coupled_thresholds(cfg, 0.9, 20)
+    assert th.p_hat == (0.0,) * 20
+    grid = [0.0, 1e-9, 0.01, 0.5, 0.9, 1.0]
+    assert [e.survived for e in th.estimates(grid)] == [0, 20, 20, 20, 20, 20]
+    # run_frog on the same config dies out at p = 0.01: the uncoupled cap
+    # counts frogs awake after a step, the coupled one frogs ever woken,
+    # and the two estimands part here (ROADMAP item 4)
+    assert estimate_survival(cfg, 20).survived == 0
+
+
 def test_coupled_path_rejects_awake_cap_below_one():
     cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=0, seed=48)
     with pytest.raises(ValueError, match="awake_cap"):
