@@ -1,10 +1,10 @@
 """Laws for the number of sleeping frogs placed on each vertex.
 
 Every law exposes the probability generating function, the mean, point
-masses, the activation probability q = P[eta >= 1], a vectorized sampler,
-and the truncated tail mean E[eta; eta > m] used to certify series
-remainders.  Laws with eta == 0 almost surely are rejected: the process
-would be empty.
+masses, the activation probability q = P[eta >= 1], a vectorized sampler
+and its scalar twin draw (which reads the same random numbers), and the
+truncated tail mean E[eta; eta > m] used to certify series remainders.
+Laws with eta == 0 almost surely are rejected: the process would be empty.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ class InitLaw:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One variate, reading exactly the stream sample(rng, 1) reads."""
+        return int(self.sample(rng, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,9 @@ class Bernoulli(InitLaw):
     def sample(self, rng, size):
         return (rng.random(size) < self.prob).astype(np.int64)
 
+    def draw(self, rng):
+        return int(rng.random() < self.prob)
+
 
 @dataclass(frozen=True)
 class Poisson(InitLaw):
@@ -146,6 +153,9 @@ class Poisson(InitLaw):
 
     def sample(self, rng, size):
         return rng.poisson(self.mu, size).astype(np.int64)
+
+    def draw(self, rng):
+        return int(rng.poisson(self.mu))
 
 
 @dataclass(frozen=True)
@@ -185,6 +195,9 @@ class Geometric(InitLaw):
         # numpy's geometric counts trials to first success on {1, 2, ...}
         return rng.geometric(1.0 - self.r, size).astype(np.int64) - 1
 
+    def draw(self, rng):
+        return int(rng.geometric(1.0 - self.r)) - 1
+
 
 #: spec name -> (law class, argument type, parameter field)
 _LAWS = {
@@ -212,8 +225,9 @@ def parse_law(text: str) -> InitLaw:
 
 
 def describe_law(law: InitLaw) -> str:
+    """The spec parse_law reads back as law: repr keeps every digit of a
+    float, and an integral float keeps its short form ('poisson:2')."""
     for name, (cls, kind, field) in _LAWS.items():
         if isinstance(law, cls):
-            value = getattr(law, field)
-            return f"{name}:{value}" if kind is int else f"{name}:{value:g}"
+            return f"{name}:{repr(kind(getattr(law, field))).removesuffix('.0')}"
     return type(law).__name__

@@ -19,14 +19,17 @@ per replica, so one minimax pass (after Newman and Ziff) finds the
 replica's critical value p_hat, the least p at which the woken total
 exceeds the cap, and survival at every p < 1 is p_hat < p.  That pass
 moves one frog at a time, so _Realization keeps its tree in plain Python
-containers.  Replicas run one after another in the calling thread.
+containers, and the pass keeps each walk as a plain tuple in its loop.
+Replicas run one after another in the calling thread.
 
 Randomness is Philox counter-based: one stream per (seed, replica) for
 run_frog, and for the coupled pass one Philox per replica whose counter
 is reset to (offset, frog, purpose, vertex RNG key) before each read.  A
 vertex's RNG key hashes its parent's key and its child index, so every
 random number is fixed by the vertex, frog and purpose, whatever p asks
-for it and in whatever order the tree is explored.
+for it and in whatever order the tree is explored.  A vertex's eta is one
+scalar law.draw; a law with one support point (a Constant) skips the draw
+and its reset.
 """
 
 from __future__ import annotations
@@ -299,10 +302,13 @@ class _Realization:
     never depends on the order in which the tree was explored (a hash
     collision would reuse random numbers, never merge vertices).  All
     randomness at v is read from Philox under the replica key with counter
-    (offset, frog, purpose, key of v): eta(v) with purpose _PUR_ETA, and
-    frog f's lifetime and jump uniforms with purpose _PUR_WALK, in blocks
-    of _BLOCK_PAIRS pairs that are consecutive pieces of one stream.  One
-    Philox serves the whole replica; every read first resets its counter.
+    (offset, frog, purpose, key of v): eta(v), one scalar law.draw, with
+    purpose _PUR_ETA, and frog f's lifetime and jump uniforms with purpose
+    _PUR_WALK, in blocks of _BLOCK_PAIRS pairs that are consecutive pieces
+    of one stream.  One Philox serves the whole replica; every read first
+    resets its counter in _seek, the one writer of its state.  A law with
+    a single support point (a Constant) needs no draw, so its eta skips
+    the reset.
 
     The realization also owns the replica's tree, grown one jump at a
     time: ids in visit order with the root at 0, a parent list, and a
@@ -314,7 +320,14 @@ class _Realization:
             (config.seed, replica, 0xC0FFEE)).generate_state(2, np.uint64)
         self.key = [int(k) for k in key]
         self.gen = np.random.Generator(np.random.Philox(key=key))
-        self.law = config.law
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": self.key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+        self._counter = self._state["state"]["counter"]
+        law = self.law = config.law
+        top = law.support_max
+        self.const = top if top is not None and law.pmf(top) == 1.0 else None
         self.degs = (config.tree.d1 + 1, config.tree.d2 + 1)
         self.width = max(config.tree.d1 + 1, config.tree.d2)
         self.parent = [-1]
@@ -322,15 +335,15 @@ class _Realization:
         self.rng_key = [0]
 
     def _seek(self, vid: int, frog: int, purpose: int, offset: int) -> None:
-        self.gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [offset, frog, purpose, self.rng_key[vid]],
-                      "key": self.key},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        # the state setter copies the values, so one dict serves every reset
+        self._counter[:] = (offset, frog, purpose, self.rng_key[vid])
+        self.gen.bit_generator.state = self._state
 
     def eta(self, vid: int) -> int:
+        if self.const is not None:
+            return self.const
         self._seek(vid, 0, _PUR_ETA, 0)
-        return int(self.law.sample(self.gen, 1)[0])
+        return self.law.draw(self.gen)
 
     def walk_block(self, vid: int, frog: int, block: int) -> list:
         """Uniforms of steps block * _BLOCK_PAIRS onward: the lifetime
@@ -357,47 +370,6 @@ class _Realization:
         return y
 
 
-class _Walk:
-    """Killed walk of frog `frog` woken at `home`, read one step at a time.
-
-    Step s + 1 is taken at p iff the lifetime uniforms L_0..L_s are all
-    below p; next_life() returns the pending L_s and step() takes it.
-    The current block of uniforms is read on demand, so a parked walk
-    holds none.
-    """
-
-    __slots__ = ("real", "home", "frog", "block", "i", "u", "pos", "odd")
-
-    def __init__(self, real: _Realization, home: int, frog: int, odd: int):
-        self.real, self.home, self.frog = real, home, frog
-        self.pos, self.odd = home, odd
-        self.block = self.i = 0
-        self.u = None
-
-    def next_life(self) -> float:
-        if self.i == _BLOCK_PAIRS:
-            self.block += 1
-            self.i = 0
-            self.u = None
-        if self.u is None:
-            self.u = self.real.walk_block(self.home, self.frog, self.block)
-        return self.u[self.i]
-
-    def step(self) -> int:
-        """Take the step whose lifetime uniform next_life() returned."""
-        if self.block * _BLOCK_PAIRS + self.i >= _MAX_WALK_STEPS:
-            raise SimResourceError(
-                f"a walk exceeded {_MAX_WALK_STEPS} steps below p_max; lower p_max")
-        self.pos = self.real.step(self.pos, self.odd, self.u[_BLOCK_PAIRS + self.i])
-        self.odd ^= 1
-        self.i += 1
-        return self.pos
-
-    def park(self) -> None:
-        """Drop the block in hand; next_life() reads it again."""
-        self.u = None
-
-
 def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     """(p_hat, eta(root) >= 1) of one replica by one lazy minimax pass.
 
@@ -411,38 +383,52 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     Levels from p_max up are never resolved: p_hat is then +inf.
     """
     real = _Realization(config, replica)
+    eta, walk_block, step = real.eta, real.walk_block, real.step
+    parent = real.parent
+    push = heapq.heappush
+    pairs, max_steps = _BLOCK_PAIRS, _MAX_WALK_STEPS
     cap = config.awake_cap
-    total = real.eta(0)
+    total = eta(0)
     if total == 0 or p_max <= 0.0:
         return math.inf, total >= 1
     if total > cap:
         return 0.0, True
-    ready = [_Walk(real, 0, f, 0) for f in range(total)]
+    # a walk: (home, frog, block, i, pos, odd, u), frog `frog` of `home` at pos
+    # (parity odd) before step i of block `block`, u that block or None
+    ready = [(0, f, 0, 0, 0, 0, None) for f in range(total)]
     heap: list = []
     seq = 0
     level = 0.0
     while True:
         while ready:
-            walk = ready.pop()
+            home, frog, block, i, pos, odd, u = ready.pop()
             while True:
-                life = walk.next_life()
+                if i == pairs:
+                    block, i, u = block + 1, 0, None
+                if u is None:
+                    u = walk_block(home, frog, block)
+                life = u[i]
                 if life > level:
                     # a parked walk is rarely resumed (about 10 resumes per
                     # replica at T(2,2), const:1, cap 2000), so it drops its
                     # uniforms instead of holding them in memory
-                    walk.park()
                     seq += 1
-                    heapq.heappush(heap, (life, seq, walk))
+                    push(heap, (life, seq, (home, frog, block, i, pos, odd, None)))
                     break
-                seen = len(real.parent)  # a vertex wakes as a walk adds it
-                y = walk.step()
-                if y < seen:
+                if block * pairs + i >= max_steps:
+                    raise SimResourceError(
+                        f"a walk exceeded {max_steps} steps below p_max; lower p_max")
+                seen = len(parent)  # a vertex wakes as a walk adds it
+                pos = step(pos, odd, u[pairs + i])
+                odd ^= 1
+                i += 1
+                if pos < seen:
                     continue
-                eta = real.eta(y)
-                total += eta
+                k = eta(pos)
+                total += k
                 if total > cap:
                     return level, True
-                ready.extend(_Walk(real, y, f, walk.odd) for f in range(eta))
+                ready.extend([(pos, f, 0, 0, pos, odd, None) for f in range(k)])
         # every walk is parked here: none ends, since lifetime uniforms are < 1
         level, _, walk = heapq.heappop(heap)
         if level >= p_max:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bifrog.bounds import (
     TABLE_REFERENCE,
@@ -157,6 +159,15 @@ def test_ub_root_swap_symmetric():
         r1 = ub_root(TreeParams(d1, d2)).value
         r2 = ub_root(TreeParams(d2, d1)).value
         assert abs(r1 - r2) < 1e-10
+
+
+@given(d1=st.integers(1, 50), d2=st.integers(1, 50),
+       q=st.floats(0.5, 1.0, exclude_min=True))
+@settings(max_examples=200, deadline=None)
+def test_ub_root_swap_symmetric_everywhere(d1, d2, q):
+    assume((d1, d2) != (1, 1))
+    t = TreeParams(d1, d2)
+    assert abs(ub_root(t, q).value - ub_root(t.swapped(), q).value) < 1e-10
 
 
 def test_ub_root_decreases_with_q():

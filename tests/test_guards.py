@@ -1,8 +1,10 @@
-"""Checks that must survive `python -O`.
+"""Checks that must survive `python -O`, and rules read off the source.
 
 The package states its invariants and input checks as explicit raises, so
 no `assert` statement may appear in it, and each input check below must
-raise ValueError.
+raise ValueError.  The Philox counter reset of the coupled pass has one
+home, _Realization._seek, which reuses a single state dict, so nothing
+else in the package may assign a bit generator's state.
 """
 
 import ast
@@ -24,13 +26,46 @@ T23 = TreeParams(2, 3)
 LAW = Poisson(1.0)
 
 
+def _package_sources():
+    for path in sorted(Path(bifrog.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_package_has_no_assert_statements():
     found = []
-    for path in sorted(Path(bifrog.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+    for name, tree in _package_sources():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _state_writers(node, where=()):
+    """Dotted names of the functions and classes around each assignment
+    to an attribute named `state`, one entry per assignment."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _state_writers(child, (*where, child.name))
+            continue
+        if isinstance(child, ast.Assign):
+            targets = child.targets
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+            targets = [child.target]
+        else:
+            targets = []
+        found += [".".join(where) for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Attribute) and n.attr == "state"]
+        found += _state_writers(child, where)
+    return found
+
+
+def test_only_seek_assigns_the_philox_state():
+    probe = ast.parse("class A:\n    def f(self, g):\n"
+                      "        if g:\n            g.bit_generator.state = {}\n")
+    assert _state_writers(probe) == ["A.f"]
+    found = [f"{name}:{where}" for name, tree in _package_sources()
+             for where in _state_writers(tree)]
+    assert found == ["sim.py:_Realization._seek"]
 
 
 def test_hitting_pair_raises_on_a_negative_discriminant():

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifrog.laws import (
@@ -162,3 +162,30 @@ def test_poisson_tail_mean_complement():
 def test_describe_law_is_informative():
     assert "const" in describe_law(Constant(1))
     assert "poisson" in describe_law(Poisson(1.0))
+
+
+#: every law, with its parameter anywhere in a wide part of its domain
+_ANY_LAW = st.one_of(
+    st.integers(1, 10**6).map(Constant),
+    st.floats(0.0, 1.0, exclude_min=True).map(Bernoulli),
+    st.floats(0.0, 1e6, exclude_min=True).map(Poisson),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(Geometric),
+)
+
+
+@given(law=_ANY_LAW, seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_draw_reads_the_stream_sample_reads(law, seed):
+    g1, g2 = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    x = law.draw(g1)
+    assert type(x) is int and x == int(law.sample(g2, 1)[0])
+    # the next read agrees too, so both left the stream at the same place
+    assert g1.random() == g2.random()
+
+
+@given(law=_ANY_LAW | st.floats(0.0, exclude_min=True, allow_infinity=False).map(Poisson))
+@example(law=Poisson(1.23456789))
+@example(law=Bernoulli(1.0))
+@settings(max_examples=300, deadline=None)
+def test_describe_law_round_trips(law):
+    assert parse_law(describe_law(law)) == law

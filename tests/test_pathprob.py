@@ -8,6 +8,8 @@ model-level oracle for non-Bernoulli laws.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifrog.hitting import hitting_pair
 from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
@@ -122,6 +124,26 @@ def test_path_open_prob_monotone_in_p():
     ps = np.linspace(0.05, 1.0, 20)
     vals = [path_open_prob(q, t, law, p) for p in ps]
     assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
+
+
+_LAWS = st.sampled_from([Constant(1), Constant(3), Bernoulli(0.4), Poisson(1.0),
+                         Poisson(2.5), Geometric(0.5)])
+
+
+@st.composite
+def _queries(draw):
+    """A geodesic query: i != j forces an odd length, i == j an even one."""
+    i, j, n = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 16))
+    return PathOpenQuery(i, j, 2 * n - (i != j))
+
+
+@given(query=_queries(), d1=st.integers(1, 8), d2=st.integers(1, 8), law=_LAWS,
+       p=st.floats(0.0, 1.0), gap=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_path_open_prob_nondecreasing_in_p(query, d1, d2, law, p, gap):
+    t = TreeParams(d1, d2)
+    hi = p + gap * (1.0 - p)
+    assert path_open_prob(query, t, law, p) <= path_open_prob(query, t, law, hi) + 1e-14
 
 
 def test_path_open_prob_respects_k_max():

@@ -1,12 +1,13 @@
 """Tests for the discrete-time simulator and its companion processes.
 
 Determinism is pinned at the outcome level (same seed, same result),
-run_frog outcomes are pinned bitwise for a grid of trees, laws and p,
-conservation of the awake population is checked through a frog-count law
-that records how often it was sampled, both tree stores are checked move
-by move against the tuple addresses of bifrog.tree, and the coupled
-threshold pass is matched bitwise against a per-p breadth-first search
-over the same realization.
+run_frog outcomes and coupled thresholds are pinned bitwise for a grid of
+trees and laws, conservation of the awake population is checked through a
+frog-count law that records how often it was sampled, both tree stores are
+checked move by move against the tuple addresses of bifrog.tree, and the
+coupled threshold pass is matched bitwise against a per-p breadth-first
+search over the same realization, which reads its walks through the
+realization's own walk_block and step.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import bifrog.sim as sim
 from bifrog.bounds import lb_biregular
 from bifrog.hitting import edge_open_prob
-from bifrog.laws import Bernoulli, Constant, Poisson
+from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
 from bifrog.sim import (
     CoupledThresholds,
     GwOutcome,
@@ -468,6 +469,22 @@ class _MemoRealization(sim._Realization):
         return self._blocks[k]
 
 
+def _walk(real, home, frog, odd, p):
+    """(vertex, parity) after each step that frog `frog` woken at home
+    takes at p: step s is taken while its lifetime uniforms L_0..L_s are
+    all below p."""
+    pos, s = home, 0
+    while True:
+        block, i = divmod(s, sim._BLOCK_PAIRS)
+        u = real.walk_block(home, frog, block)
+        if u[i] >= p:
+            return
+        pos = real.step(pos, odd, u[sim._BLOCK_PAIRS + i])
+        odd ^= 1
+        s += 1
+        yield pos, odd
+
+
 def _bfs_survives(real, p, cap):
     """Per-p oracle: breadth-first activation cluster of the root, where a
     frog steps while its lifetime uniforms are below p."""
@@ -483,15 +500,13 @@ def _bfs_survives(real, p, cap):
     while queue:
         v, odd = queue.popleft()
         for frog in range(real.eta(v)):
-            walk = sim._Walk(real, v, frog, odd)
-            while walk.next_life() < p:
-                y = walk.step()
+            for y, y_odd in _walk(real, v, frog, odd, p):
                 if y not in awake:
                     awake.add(y)
                     total += real.eta(y)
                     if total > cap:
                         return True
-                    queue.append((y, walk.odd))
+                    queue.append((y, y_odd))
     return False
 
 
@@ -502,6 +517,7 @@ _ORACLE_GRID = [round(0.5 + 0.05 * i, 2) for i in range(10)]
     (T22, Constant(1), 41),
     (T23, Poisson(1.0), 42),
     (T22, Bernoulli(0.6), 43),
+    (T22, Geometric(0.5), 51),
 ])
 def test_threshold_pass_matches_per_p_bfs(tree, law, seed):
     cfg = SimConfig(tree=tree, law=law, p=0.5, awake_cap=300, seed=seed)
@@ -520,6 +536,66 @@ def test_threshold_pass_matches_per_p_bfs(tree, law, seed):
     assert (empty_roots > 0) == (law.p0 > 0)
 
 
+INF = math.inf
+_PINNED_COUPLED_LAWS = dict(_PINNED_LAWS, **{"Geometric(0.5)": Geometric(0.5)})
+#: (d1, d2), law, seed -> (p_hat, root_awake) of replicas 0..5 at
+#: awake_cap 300 and p_max 0.95, recorded before the walks became plain
+#: records in the threshold loop; T(3,100) has a child dict far wider
+#: than its degrees
+_PINNED_COUPLED = {
+    ((2, 2), "const:1", 60): (
+        (0.6641041052422391, 0.711212493798404, 0.7597278497024083,
+         0.8704411222593665, 0.7074565995994605, 0.7135342166079776),
+        (True, True, True, True, True, True)),
+    ((2, 2), "Poisson(1)", 61): (
+        (INF, INF, 0.8062330157050803, 0.744498259735483, 0.8192631480201523, INF),
+        (False, False, True, True, True, False)),
+    ((2, 2), "Bernoulli(0.6)", 62): (
+        (0.9237125641135496, INF, 0.9282785277254796, INF, INF, 0.8495305656305887),
+        (True, False, True, False, False, True)),
+    ((2, 2), "Geometric(0.5)", 63): (
+        (INF, 0.8232284464394671, 0.7278911659689777, 0.8219068538006872,
+         0.8284831168095059, INF),
+        (False, True, True, True, True, False)),
+    ((2, 3), "const:1", 64): (
+        (0.7761177561513016, 0.6606605965538802, 0.7993940105020759,
+         0.7007417060928595, INF, 0.7412437030186027),
+        (True, True, True, True, True, True)),
+    ((2, 3), "Poisson(1)", 65): (
+        (0.7366872556622696, INF, INF, INF, 0.7309308126147489, 0.6662266116266227),
+        (True, False, False, False, True, True)),
+    ((2, 3), "Bernoulli(0.6)", 66): (
+        (0.7790975838527405, INF, 0.8151463294149273, INF, 0.7793825471822781, INF),
+        (True, False, True, False, True, False)),
+    ((2, 3), "Geometric(0.5)", 67): (
+        (INF, 0.685394102599295, INF, 0.8153738344880331, 0.6839232753350536,
+         0.6542059505239983),
+        (False, True, False, True, True, True)),
+    ((3, 100), "const:1", 68): (
+        (0.6237276047465867, 0.7220010990803277, 0.73397524760391,
+         0.6692177606528366, 0.6450496445772311, 0.6747368062380917),
+        (True, True, True, True, True, True)),
+    ((3, 100), "Poisson(1)", 69): (
+        (INF, INF, 0.9374529706141717, 0.6291772191841717, INF, INF),
+        (False, False, True, True, False, False)),
+    ((3, 100), "Bernoulli(0.6)", 70): (
+        (INF, INF, 0.797352706492266, 0.6655573674092354, 0.7879596202380933,
+         0.7926879129058798),
+        (False, False, True, True, True, True)),
+    ((3, 100), "Geometric(0.5)", 71): (
+        (INF, 0.7732139974686953, INF, 0.664239842588971, INF, 0.6752961100794045),
+        (False, True, False, True, False, True)),
+}
+
+
+@pytest.mark.parametrize("tree,law,seed", list(_PINNED_COUPLED))
+def test_coupled_thresholds_are_pinned(tree, law, seed):
+    cfg = SimConfig(tree=TreeParams(*tree), law=_PINNED_COUPLED_LAWS[law], p=0.5,
+                    awake_cap=300, seed=seed)
+    th = coupled_thresholds(cfg, 0.95, 6)
+    assert (th.p_hat, th.root_awake) == _PINNED_COUPLED[tree, law, seed]
+
+
 def test_p_hat_does_not_depend_on_p_max():
     cfg = SimConfig(tree=T23, law=Poisson(1.0), p=0.5, awake_cap=300, seed=44)
     high = coupled_thresholds(cfg, 0.95, 60)
@@ -528,6 +604,18 @@ def test_p_hat_does_not_depend_on_p_max():
     for a, b in zip(high.p_hat, low.p_hat):
         assert b == (a if a < 0.7 else math.inf)
     assert any(a < 0.7 for a in high.p_hat) and any(0.7 <= a < 0.95 for a in high.p_hat)
+
+
+def test_one_point_law_takes_no_eta_draw():
+    """eta skips the draw for any law with a single support point, not only
+    for a Constant, and the thresholds stay those of Constant(1)."""
+    class _OnePoint(Bernoulli):
+        def draw(self, rng):
+            raise AssertionError("eta drew from a one-point law")
+
+    cfg = SimConfig(tree=T23, law=Constant(1), p=0.5, awake_cap=300, seed=52)
+    want = coupled_thresholds(cfg, 0.95, 20)
+    assert coupled_thresholds(dataclasses.replace(cfg, law=_OnePoint(1.0)), 0.95, 20) == want
 
 
 def test_walk_blocks_are_one_philox_stream():
