@@ -12,13 +12,20 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+
+import numpy as np
 
 from . import __version__, bounds, checks, sim
 from .laws import parse_law
 from .tree import TreeParams
 
 SCHEMA_VERSION = 1
+
+
+#: most points a lo:hi:step grid may hold
+MAX_GRID_POINTS = 10 ** 6
 
 
 def parse_p_grid(text: str) -> list:
@@ -28,17 +35,16 @@ def parse_p_grid(text: str) -> list:
         if len(parts) != 3:
             raise ValueError(f"bad p grid {text!r}; expected lo:hi:step")
         lo, hi, step = (float(x) for x in parts)
-        if step <= 0.0 or hi < lo:
-            raise ValueError(f"bad p grid {text!r}; need step > 0 and hi >= lo")
-        out = []
-        i = 0
-        while True:
-            x = lo + i * step
-            if x > hi + 1e-12:
-                break
-            out.append(round(x, 12))
-            i += 1
-        return out
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise ValueError(f"bad p grid {text!r}; lo, hi and step must be finite")
+        if step <= 0.0 or hi < lo or lo < 0.0 or hi > 1.0:
+            raise ValueError(f"bad p grid {text!r}; need step > 0 and 0 <= lo <= hi <= 1")
+        # the points are lo + i * step up to hi + 1e-12, counted before any is made
+        count = math.floor((hi + 1e-12 - lo) / step) + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"bad p grid {text!r}; {count} points exceed "
+                             f"{MAX_GRID_POINTS}")
+        return [round(x, 12) for x in (lo + np.arange(count) * step).tolist()]
     vals = [float(x) for x in text.split(",") if x.strip()]
     if not vals:
         raise ValueError(f"bad p grid {text!r}; no values")

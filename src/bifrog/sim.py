@@ -9,7 +9,10 @@ always entered from its parent) in _TreeTable, whose moves are vectorized
 over all frogs of a time step: for small degrees one move is one gather
 from a flat neighbor table.  Every frog crosses one edge per step and a
 vertex is first entered at its own level parity, so all awake frogs share
-the parity of the time step and one degree serves the whole step.
+the parity of the time step and one degree serves the whole step.  Vertex
+ids, frog positions and jump slots are int32: ids stay below
+ACTIVATED_HARD_CAP, and the byte bound on the neighbor table keeps every
+flat index into it below 2**31.
 
 The coupled sweep is time-free: a replica survives at p when its
 activation cluster (the root, and every vertex a walk from an awake
@@ -49,7 +52,9 @@ ACTIVATED_HARD_CAP = 10 ** 7
 #: largest neighbor table, in bytes, that _TreeTable allocates
 DENSE_TABLE_BYTES = 1 << 30
 _MAX_WALK_STEPS = 10 ** 6
-_EMPTY = np.empty(0, dtype=np.int64)
+#: dtype of run_frog's vertex ids, positions and flat neighbor-table indices
+_VID = np.dtype(np.int32)
+_EMPTY = np.empty(0, dtype=_VID)
 
 
 class SimResourceError(RuntimeError):
@@ -74,15 +79,19 @@ def _extended(a: np.ndarray, size: int) -> np.ndarray:
 class _TreeTable:
     """Registry of the vertices run_frog visits, grown on first visit.
 
-    Ids are dense ints in visit order with the root at 0, and parent links
+    Ids are dense int32 in visit order with the root at 0, and parent links
     are a flat array.  Only move() walks the tree, for a whole array of
     frogs at once, and it takes a neighbor slot per frog: at the root every
     slot is a child, below it slot 0 is the parent and slot c + 1 child c.
     For small degrees nbr[v * stride + s], with stride max(d1, d2) + 1,
     holds 1 + the id of the neighbor of v in slot s, or 0 while that child
     is unvisited (so the table grows by zero pages), and a move is one
-    gather; the parent slot is written when the vertex is created.  Wider
-    trees keep a dict keyed vid * width + child index.  No level parity is
+    gather; the parent slot is written when the vertex is created.  The
+    table and its flat indices are int32 too: the table never outgrows
+    DENSE_TABLE_BYTES, so a flat index v * stride + s is below
+    DENSE_TABLE_BYTES / 4 entries, which the constructor checks is at most
+    2**31.  Wider trees keep a dict keyed vid * width + child index, an
+    int64 key since it passes 2**31 on wide trees.  No level parity is
     stored: run_frog's frogs all sit at the parity of the time step.
     """
 
@@ -90,10 +99,16 @@ class _TreeTable:
         self.width = max(t.d1 + 1, t.d2)
         self.dense = self.width <= DENSE_CHILD_LIMIT
         self.stride = max(t.d1, t.d2) + 1
+        top = np.iinfo(_VID).max
+        if ACTIVATED_HARD_CAP > top or (
+                self.dense and DENSE_TABLE_BYTES // _VID.itemsize > top + 1):
+            raise SimResourceError(
+                f"{ACTIVATED_HARD_CAP} vertices or a {DENSE_TABLE_BYTES}-byte "
+                f"neighbor table would index past the {_VID} range")
         cap = 1024
-        self.parent = np.full(cap, -1, dtype=np.int64)
+        self.parent = np.full(cap, -1, dtype=_VID)
         if self.dense:
-            self.nbr = np.zeros(cap * self.stride, dtype=np.int64)
+            self.nbr = np.zeros(cap * self.stride, dtype=_VID)
         else:
             self.child = {}
         self.n = 1
@@ -122,17 +137,17 @@ class _TreeTable:
         if self.dense:
             self.nbr[lo * self.stride:hi * self.stride:self.stride] = pv + 1
         self.n = hi
-        return np.arange(lo, hi, dtype=np.int64)
+        return np.arange(lo, hi, dtype=_VID)
 
     def move(self, movers: np.ndarray, slot: np.ndarray):
         """One jump per mover through slot, uniform on [0, degree); returns
-        (targets, fresh ids in alloc order)."""
+        (targets, fresh ids in alloc order).  movers and slot are int32."""
         if self.dense:
             flat = movers * self.stride + slot
             got = self.nbr[flat]
-            miss = got == 0
+            miss = np.flatnonzero(got == 0)
             fresh = _EMPTY
-            if miss.any():
+            if miss.size:
                 # one fresh id per distinct (parent id, slot), in that order
                 want = flat[miss]
                 keys = np.sort(want)
@@ -146,7 +161,7 @@ class _TreeTable:
         to_parent = (slot == 0) & (movers != 0)
         targets[to_parent] = self.parent[movers[to_parent]]
         cm = ~to_parent
-        cpos = movers[cm]
+        cpos = movers[cm].astype(np.int64)
         cidx = slot[cm] - (cpos != 0)
         # fresh ids follow the order in which the movers reach them
         child, n = self.child, self.n
@@ -203,7 +218,7 @@ def run_frog(config: SimConfig) -> SimOutcome:
     if eta_root == 0:
         return SimOutcome(survived=False, at_time=0, censor_reason=None,
                           max_awake=0, vertices_activated=1)
-    pos = np.zeros(eta_root, dtype=np.int64)
+    pos = np.zeros(eta_root, dtype=_VID)
     max_awake = eta_root
     for now in range(config.horizon):
         pos = pos[rng.random(pos.size) < p]
@@ -212,7 +227,8 @@ def run_frog(config: SimConfig) -> SimOutcome:
         if survivors:
             # every awake frog sits at the level parity of the step
             deg = tree.d2 + 1 if now % 2 else tree.d1 + 1
-            slot = rng.integers(0, deg, size=survivors)
+            # the int32 draw reads the same stream as the default int64 one
+            slot = rng.integers(0, deg, size=survivors, dtype=_VID)
             targets, fresh = table.move(pos, slot)
             if fresh.size:
                 counts = law.sample(rng, fresh.size)

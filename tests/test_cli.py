@@ -11,7 +11,7 @@ import json
 import pytest
 
 import bifrog.sim as sim
-from bifrog import checks
+from bifrog import checks, cli
 from bifrog.checks import CheckResult
 from bifrog.cli import main, parse_p_grid
 
@@ -40,6 +40,27 @@ def test_parse_p_grid_rejects_garbage():
     for text in ("", "0.5:0.7", "0.7:0.5:0.1", "0.5:0.7:0", "a,b"):
         with pytest.raises(ValueError):
             parse_p_grid(text)
+
+
+@pytest.mark.parametrize("text,why", [
+    ("0.5:inf:0.1", "finite"), ("-inf:0.5:0.1", "finite"),
+    ("0.5:0.9:inf", "finite"), ("nan:0.5:0.1", "finite"),
+    ("0.5:0.7:nan", "finite"), ("-0.1:0.5:0.1", "hi <= 1"),
+    ("0.5:1.5:0.1", "hi <= 1"), ("0:1:1e-15", "exceed"),
+])
+def test_parse_p_grid_rejects_unbounded_grids(text, why):
+    # each spec fails before a point is made; without the checks the first
+    # would loop forever and the last would try to build 10**15 points
+    with pytest.raises(ValueError, match=why):
+        parse_p_grid(text)
+
+
+def test_parse_p_grid_point_limit(monkeypatch):
+    assert cli.MAX_GRID_POINTS == 10 ** 6
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
+    assert len(parse_p_grid("0:1:0.1")) == 11
+    with pytest.raises(ValueError, match="12 points exceed 11"):
+        parse_p_grid("0:1.0:0.0909")
 
 
 # --- bounds ------------------------------------------------------------------
@@ -176,6 +197,15 @@ def test_sweep_rejects_bad_grid(capsys):
                         "--p", "1.5", "--replicas", "5")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("grid", ["0.5:inf:0.1", "0:1:1e-15"])
+def test_sweep_rejects_unbounded_grid(capsys, grid):
+    code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2",
+                          "--p", grid, "--replicas", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # --- check -------------------------------------------------------------------

@@ -12,6 +12,7 @@ realization's own walk_block and step.
 
 import dataclasses
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bifrog.sim as sim
-from bifrog.bounds import lb_biregular
+from bifrog.bounds import lb_biregular, ub_root
 from bifrog.hitting import edge_open_prob
 from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
 from bifrog.sim import (
@@ -142,9 +143,10 @@ def test_wide_tree_uses_sparse_children():
 
 
 def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
+    size = sim._TreeTable(T22).nbr.itemsize
     # at stride 3 the bound never binds before the vertex cap does
-    assert sim.DENSE_TABLE_BYTES >= sim.ACTIVATED_HARD_CAP * 3 * 8
-    bound = 2_000 * 3 * 8  # 2,000 vertices of T(2,2)
+    assert sim.DENSE_TABLE_BYTES >= sim.ACTIVATED_HARD_CAP * 3 * size
+    bound = 2_000 * 3 * size  # 2,000 vertices of T(2,2)
     monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
     table = sim._TreeTable(T22)
     table._grow(1_500)  # doubling would ask for 2,048 vertices
@@ -158,6 +160,44 @@ def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
     # the dict store of a wide tree holds no neighbor table
     wide = dataclasses.replace(cfg, tree=T3_100, p=0.9, awake_cap=5_000)
     assert run_frog(wide).vertices_activated > 2_000
+
+
+def test_int32_index_range_raises_before_allocating(monkeypatch):
+    size = sim._TreeTable(T22).nbr.itemsize
+    assert size == 4
+    # 2**31 entries is the largest table whose flat indices fit in int32
+    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", 2 ** 31 * size)
+    assert sim._TreeTable(T22).nbr.dtype == np.int32
+    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", (2 ** 31 + 1) * size)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimResourceError, match="int32"):
+            sim._TreeTable(T22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the first parent array alone would take 1024 ids of 4 bytes
+    assert peak < 1024 * size
+    # the dict store keeps no flat table, so only its ids are bounded
+    assert sim._TreeTable(T3_100).parent.dtype == np.int32
+    monkeypatch.setattr(sim, "ACTIVATED_HARD_CAP", 2 ** 31)
+    with pytest.raises(SimResourceError, match="int32"):
+        sim._TreeTable(T3_100)
+
+
+def test_wide_dict_keys_pass_the_int32_range():
+    # at width 10,000 the key vid * width + child index passes 2**31 once
+    # vid > 214,748, far below ACTIVATED_HARD_CAP
+    table = sim._TreeTable(TreeParams(4, 10_000))
+    v = 2 ** 31 // table.width + 1
+    table._add(np.zeros(v, dtype=table.parent.dtype))  # ids 1..v below the root
+    movers = np.array([v, v], dtype=table.parent.dtype)
+    targets, fresh = table.move(movers, np.array([1, 1], dtype=movers.dtype))
+    assert fresh.tolist() == [v + 1] and targets.tolist() == [v + 1, v + 1]
+    assert table.parent[v + 1] == v
+    assert list(table.child) == [v * table.width]
+    back, _ = table.move(fresh, np.zeros(1, dtype=movers.dtype))
+    assert back.tolist() == [v]
 
 
 #: (d1, d2), law, p, seed -> SimOutcome fields of replicas 0..3 at horizon
@@ -274,6 +314,16 @@ def test_run_frog_outcomes_are_pinned(tree, law, p, seed):
     assert got == _PINNED[tree, law, p, seed]
 
 
+def test_run_frog_outcomes_at_default_caps_are_pinned():
+    # recorded before the store moved to int32 ids; each run wakes 370-390k
+    # vertices, so the neighbor table doubles past 2**18 vertices
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.75, seed=1)
+    got = [dataclasses.astuple(run_frog(dataclasses.replace(cfg, replica_index=r)))
+           for r in (0, 4)]
+    assert got == [(True, None, "awake_cap", 103401, 371736),
+                   (True, None, "awake_cap", 108041, 388448)]
+
+
 # --- tree stores against the tuple-address oracle ---------------------------
 
 
@@ -314,16 +364,20 @@ def _bind(ids, addrs, y, addr):
 def test_tree_table_moves_match_the_address_oracle(tree, jumps):
     table = sim._TreeTable(tree)
     assert table.dense == (tree == T23)
+    vid = table.parent.dtype
+    assert vid == np.int32
     ids, addrs = {ROOT: 0}, {0: ROOT}
-    pos = np.zeros(len(jumps[0]), dtype=np.int64)
+    pos = np.zeros(len(jumps[0]), dtype=vid)
     for step, us in enumerate(jumps):
         deg = np.array([degree(tree, addrs[v]) for v in pos.tolist()])
         # run_frog draws one degree per step: all walkers share its parity
         assert set(deg.tolist()) == {tree.d2 + 1 if step % 2 else tree.d1 + 1}
-        slot = np.minimum((np.array(us) * deg).astype(np.int64), deg - 1)
+        slot = np.minimum((np.array(us) * deg).astype(np.int64), deg - 1).astype(vid)
         want = [_neighbor(tree, addrs[v], c) for v, c in zip(pos.tolist(), slot.tolist())]
         n = table.n
         pos, fresh = table.move(pos, slot)
+        # ids come back in the store's own dtype
+        assert pos.dtype == fresh.dtype == vid
         assert fresh.tolist() == list(range(n, table.n))
         entered = [y for y, a in zip(pos.tolist(), want) if a not in ids]
         # one id per unvisited vertex, however many walkers enter it
@@ -679,6 +733,20 @@ def test_coupled_root_over_cap_survives_at_every_positive_p():
     # counts frogs awake after a step, the coupled one frogs ever woken,
     # and the two estimands part here (ROADMAP item 4)
     assert estimate_survival(cfg, 20).survived == 0
+
+
+@pytest.mark.parametrize("cap", [500, 2000])
+def test_both_estimands_die_below_lb_and_survive_above_ub(cap):
+    # ROADMAP item 4's cross-check at the SimConfig default seed: 0 of 20
+    # replicas survive at 0.55 < lb_biregular and some do at 0.9 > ub_root,
+    # both for frogs awake at once (uncoupled) and woken in total (coupled)
+    lo, hi = 0.55, 0.9
+    assert lo < lb_biregular(T22, 1.0) and ub_root(T22).value < hi
+    cfg = SimConfig(tree=T22, law=Constant(1), p=lo, awake_cap=cap)
+    for coupled in (False, True):
+        below, above = sweep(cfg, [lo, hi], 20, coupled=coupled)
+        assert below.survived == 0
+        assert above.survived >= 1
 
 
 def test_coupled_path_rejects_awake_cap_below_one():
