@@ -6,11 +6,11 @@ from .bounds import (AsymptoticRow, BoundsReport, DiskSeries, NoRootError,
                      bounds_report, disk_mean_offspring, f_n_value, f_value,
                      lb_alves, lb_biregular, spectral_radius, table1,
                      ub_closed, ub_root, ub_root_n)
-from .hitting import (HitEstimate, HittingPair, edge_open_prob, hitting_pair,
+from .hitting import (HittingPair, McEstimate, edge_open_prob, hitting_pair,
                       mc_hit_neighbor, system_residuals)
 from .laws import (Bernoulli, Constant, Geometric, InitLaw, Poisson,
                    describe_law, parse_law)
-from .pathprob import (PathOpenEstimate, PathOpenQuery, PathOpenTables,
+from .pathprob import (PathOpenQuery, PathOpenTables,
                        bernoulli_path_open, mc_path_open, path_open_prob)
 from .sim import (CoupledThresholds, GwOutcome, RangeDiskReport, SimConfig,
                   SimOutcome, SimResourceError, SurvivalEstimate,

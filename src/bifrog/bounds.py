@@ -40,6 +40,12 @@ TABLE_REFERENCE = {
 TABLE_ROWS = tuple(TABLE_REFERENCE)
 
 
+#: bisection bracket width of ub_root, ub_root_n and bounds_report
+ROOT_TOL = 1e-12
+#: bisection bracket on (0, 1) and its iteration cap
+_BRACKET, _MAX_BISECT = (1e-9, 1.0 - 1e-9), 200
+
+
 class NoRootError(ValueError):
     """The bracketing function does not change sign on (0, 1)."""
 
@@ -123,16 +129,16 @@ class RootResult:
     tol: float
 
 
-def _bisect_increasing(f, tol: float, lo: float = 1e-9, hi: float = 1.0 - 1e-9,
-                       max_iter: int = 200, what: str = "f") -> RootResult:
+def _bisect_increasing(f, tol: float, what: str) -> RootResult:
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
+    lo, hi = _BRACKET
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi):
         raise NoRootError(f"{what} does not change sign on ({lo:g}, {hi:g}): "
                           f"endpoint values are {flo:.6g} and {fhi:.6g}")
     iters = 0
-    while hi - lo > tol and iters < max_iter:
+    while hi - lo > tol and iters < _MAX_BISECT:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
@@ -142,14 +148,14 @@ def _bisect_increasing(f, tol: float, lo: float = 1e-9, hi: float = 1.0 - 1e-9,
     return RootResult(value=0.5 * (lo + hi), iterations=iters, tol=tol)
 
 
-def ub_root(t: TreeParams, q: float = 1.0, tol: float = 1e-12) -> RootResult:
+def ub_root(t: TreeParams, q: float = 1.0, tol: float = ROOT_TOL) -> RootResult:
     """Upper bound on p_c: the root of f(t, q, .) in (0, 1)."""
     _check_not_11(t)
     q = _check_q(q)
     return _bisect_increasing(lambda p: f_value(t, q, p), tol, what="f")
 
 
-def ub_root_n(t: TreeParams, q: float, n: int, tol: float = 1e-12) -> RootResult:
+def ub_root_n(t: TreeParams, q: float, n: int) -> RootResult:
     """Root of the finite-n refinement f_n; decreases toward ub_root in n.
 
     For small q and small n, f_n stays negative on all of (0, 1) and no
@@ -158,7 +164,7 @@ def ub_root_n(t: TreeParams, q: float, n: int, tol: float = 1e-12) -> RootResult
     """
     _check_not_11(t)
     q = _check_q(q)
-    return _bisect_increasing(lambda p: f_n_value(t, q, n, p), tol,
+    return _bisect_increasing(lambda p: f_n_value(t, q, n, p), ROOT_TOL,
                               what=f"f_n (q={q:g}, n={n})")
 
 
@@ -235,8 +241,7 @@ class BoundsReport:
     tol: float
 
 
-def bounds_report(t: TreeParams, law: InitLaw, tol: float = 1e-12) -> BoundsReport:
-    _check_not_11(t)
+def bounds_report(t: TreeParams, law: InitLaw, tol: float = ROOT_TOL) -> BoundsReport:
     root = ub_root(t, q=law.q, tol=tol)
     return BoundsReport(
         d1=t.d1, d2=t.d2, eta=describe_law(law),
@@ -248,10 +253,10 @@ def bounds_report(t: TreeParams, law: InitLaw, tol: float = 1e-12) -> BoundsRepo
         root_iterations=root.iterations, tol=tol)
 
 
-def table1(tol: float = 1e-12) -> list:
+def table1() -> list:
     """Bounds for the nine standard rows with eta == 1."""
     one = Constant(1)
-    return [bounds_report(TreeParams(d1, d2), one, tol=tol) for d1, d2 in TABLE_ROWS]
+    return [bounds_report(TreeParams(d1, d2), one) for d1, d2 in TABLE_ROWS]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ def _mc_row(name: str, est: float, ref: float, trials: int) -> CheckResult:
                        detail=f"est={est:.5f} ref={ref:.5f} |gap|={gap:.2e} 4se={4 * se:.2e}")
 
 
-def check_hitting(trials: int = 50_000, seed: int = 0) -> list:
+def check_hitting(trials: int, seed: int) -> list:
     points = [((2, 2), 0.5), ((2, 2), 0.75), ((2, 3), 0.6),
               ((2, 3), 0.9), ((3, 4), 0.8), ((1, 2), 0.7)]
     out = []
@@ -103,7 +103,7 @@ def check_asymptotics() -> list:
     ]
 
 
-def check_gw(seed: int = 0) -> list:
+def check_gw(seed: int) -> list:
     runs = 1000
     out = []
     worst = 0.0

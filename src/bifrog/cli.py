@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -89,20 +90,17 @@ def _emit(args, command: str, columns: list, rows: list, extra: dict | None = No
         sys.stdout.write(text)
 
 
-_BOUNDS_COLS = ["d1", "d2", "eta", "mean_eta", "q", "lb_alves", "lb_biregular",
-                "ub_root", "ub_closed", "root_iterations", "tol"]
-
-
-def _report_row(r) -> list:
-    return [r.d1, r.d2, r.eta, r.mean_eta, r.q, r.lb_alves, r.lb_biregular,
-            r.ub_root, r.ub_closed, r.root_iterations, r.tol]
+def _table(cls, records: list) -> tuple:
+    """(columns, rows) with one column per field of the dataclass cls."""
+    return ([f.name for f in dataclasses.fields(cls)],
+            [dataclasses.astuple(r) for r in records])
 
 
 def cmd_bounds(args) -> int:
     t = TreeParams(args.d1, args.d2)
     law = parse_law(args.eta)
     report = bounds.bounds_report(t, law, tol=args.tol)
-    _emit(args, "bounds", _BOUNDS_COLS, [_report_row(report)])
+    _emit(args, "bounds", *_table(bounds.BoundsReport, [report]))
     return 0
 
 
@@ -142,24 +140,23 @@ def cmd_sweep(args) -> int:
         extra["p_hat_quantiles"] = thresholds.quantiles()
     else:
         rows = sim.sweep(config, ps, args.replicas)
-    columns = ["p", "replicas", "survived", "fraction", "ci_low", "ci_high"]
-    _emit(args, "sweep", columns,
-          [[r.p, r.replicas, r.survived, r.fraction, r.ci_low, r.ci_high]
-           for r in rows],
-          extra=extra)
+    _emit(args, "sweep", *_table(sim.SurvivalEstimate, rows), extra=extra)
     return 0
 
 
 def cmd_check(args) -> int:
     results = checks.run_suite(args.suite, trials=args.trials, seed=args.seed)
-    columns = ["name", "passed", "detail"]
-    _emit(args, "check", columns,
-          [[r.name, r.passed, r.detail] for r in results],
-          extra={"suite": args.suite})
+    _emit(args, "check", *_table(checks.CheckResult, results), extra={"suite": args.suite})
     failures = [r for r in results if not r.passed]
     for r in failures:
         print(f"FAIL {r.name}: {r.detail}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def _add_tree_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d1", type=int, required=True)
+    p.add_argument("--d2", type=int, required=True)
+    p.add_argument("--eta", default="const:1", help="law spec, e.g. const:1, poisson:0.8")
 
 
 def _add_output_opts(p: argparse.ArgumentParser) -> None:
@@ -176,10 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="analytic bounds for one (d1, d2, law) row")
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--d2", type=int, required=True)
-    p.add_argument("--eta", default="const:1", help="law spec, e.g. const:1, poisson:0.8")
-    p.add_argument("--tol", type=float, default=1e-12, help="bisection bracket width")
+    _add_tree_opts(p)
+    p.add_argument("--tol", type=float, default=bounds.ROOT_TOL,
+                   help="bisection bracket width")
     _add_output_opts(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -190,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sweep", help="Monte Carlo survival curve over a p grid")
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--d2", type=int, required=True)
-    p.add_argument("--eta", default="const:1")
+    _add_tree_opts(p)
     p.add_argument("--p", required=True, help="grid as lo:hi:step or comma list")
     p.add_argument("--replicas", type=int, default=200)
     p.add_argument("--horizon", type=int, default=10_000)

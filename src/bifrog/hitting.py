@@ -21,6 +21,9 @@ the small-p cancellation (and exact at p = 0 and p = 1).
 edge_open_prob gives the probability that a frog placed at one end of a
 fixed geodesic of length k ever reaches the far end, with the number of
 frogs drawn from an initial law.
+
+Every random stream outside the coupled sweep comes from _stream, and the
+Monte Carlo oracles report an McEstimate built by _mc_estimate.
 """
 
 from __future__ import annotations
@@ -99,12 +102,29 @@ def edge_open_prob(t: TreeParams, law: InitLaw, p: float, i: int, j: int, k: int
     return 1.0 - law.pgf(1.0 - a ** ea * b ** eb)
 
 
+def _stream(*words: int) -> np.random.Generator:
+    """The Philox stream keyed by words (a seed, a replica, a tag)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+
+
 @dataclass(frozen=True)
-class HitEstimate:
+class McEstimate:
+    """A Monte Carlo proportion over trials with its Wald standard error."""
+
     prob: float
     stderr: float
     trials: int
-    hits: int
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
+def _mc_estimate(hits: int, trials: int) -> McEstimate:
+    prob = hits / trials
+    stderr = math.sqrt(max(prob * (1.0 - prob), 1e-300) / trials)
+    return McEstimate(prob=prob, stderr=stderr, trials=trials)
 
 
 def _auto_escape_radius(p: float) -> int:
@@ -153,7 +173,7 @@ def _distance_chain(rng: np.random.Generator, t: TreeParams, p: float,
 
 
 def mc_hit_neighbor(t: TreeParams, p: float, start_type: int, trials: int,
-                    seed: int = 0) -> HitEstimate:
+                    seed: int = 0) -> McEstimate:
     """Monte Carlo estimate of alpha (start_type 1) or beta (start_type 2).
 
     Each trial is one walker at distance 1 from the target neighbor, run
@@ -165,13 +185,9 @@ def mc_hit_neighbor(t: TreeParams, p: float, start_type: int, trials: int,
     p = _check_p(p)
     if start_type not in (1, 2):
         raise ValueError(f"start_type must be 1 or 2, got {start_type}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x48495421))))
+    _check_trials(trials)
     # the neighbor has the other type: parity start_type - 1 + 1
-    hit, _ = _distance_chain(rng, t, p, np.ones(trials, dtype=np.int64), start_type,
+    hit, _ = _distance_chain(_stream(seed, 0x48495421), t, p,
+                             np.ones(trials, dtype=np.int64), start_type,
                              _auto_escape_radius(p))
-    hits = int(hit.sum())
-    prob = hits / trials
-    stderr = math.sqrt(max(prob * (1.0 - prob), 1e-300) / trials)
-    return HitEstimate(prob=prob, stderr=stderr, trials=trials, hits=hits)
+    return _mc_estimate(int(hit.sum()), trials)

@@ -20,12 +20,12 @@ structure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hitting import _auto_escape_radius, _check_p, edge_exponents, hitting_pair
+from .hitting import (McEstimate, _auto_escape_radius, _check_p, _check_trials,
+                      _mc_estimate, _stream, edge_exponents, hitting_pair)
 from .laws import InitLaw
 from .tree import TreeParams
 
@@ -139,14 +139,10 @@ class PathOpenTables:
         return self.same_22(query.n)
 
 
-def path_open_prob(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
-                   k_max: int = K_MAX_DEFAULT) -> float:
+def path_open_prob(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float) -> float:
     """Probability that the geodesic described by the query opens."""
-    if query.k > k_max:
-        raise ValueError(f"k={query.k} exceeds k_max={k_max}")
     pair = hitting_pair(t, p)
-    tables = PathOpenTables(law.pgf, pair.alpha, pair.beta, k_max=k_max)
-    return tables.value(query)
+    return PathOpenTables(law.pgf, pair.alpha, pair.beta, k_max=query.k).value(query)
 
 
 def bernoulli_path_open(n: int, q: float, a: float, b: float) -> float:
@@ -158,15 +154,8 @@ def bernoulli_path_open(n: int, q: float, a: float, b: float) -> float:
     return q * (a * b * (1.0 + q * (1.0 - b))) ** n * (1.0 + q * (1.0 - a)) ** (n - 1)
 
 
-@dataclass(frozen=True)
-class PathOpenEstimate:
-    prob: float
-    stderr: float
-    trials: int
-
-
 def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
-                 trials: int, seed: int = 0) -> PathOpenEstimate:
+                 trials: int, seed: int = 0) -> McEstimate:
     """Monte Carlo estimate of path_open_prob by direct event simulation.
 
     Frogs are realized at x_0 .. x_{k-1} and each walk is projected onto
@@ -179,12 +168,11 @@ def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
     the distance-chain oracles.
     """
     p = _check_p(p)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     k = query.k
     radius = _auto_escape_radius(p)
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0x50415448))))
+    rng = _stream(seed, 0x50415448)
     degs = (t.d1 + 1, t.d2 + 1)
     i0 = query.i - 1  # 0-based parity of x_0
 
@@ -232,6 +220,4 @@ def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
             acc |= reach[:, m, l] & ~reach[:, m, l + 1] & open_to[:, l]
         open_to[:, m] = acc
 
-    est = float(open_to[:, 0].mean())
-    stderr = math.sqrt(max(est * (1.0 - est), 1e-300) / trials)
-    return PathOpenEstimate(prob=est, stderr=stderr, trials=trials)
+    return _mc_estimate(int(open_to[:, 0].sum()), trials)

@@ -25,9 +25,11 @@ moves one frog at a time, so _Realization keeps its tree in plain Python
 containers, and the pass keeps each walk as a plain tuple in its loop.
 Replicas run one after another in the calling thread.
 
-Randomness is Philox counter-based: one stream per (seed, replica) for
-run_frog, and for the coupled pass one Philox per replica whose counter
-is reset to (offset, frog, purpose, vertex RNG key) before each read.  A
+Randomness is Philox counter-based.  Every stream outside the coupled
+pass comes from hitting._stream: run_frog's is keyed (seed, replica),
+run_multitype_gw's and mc_range_vs_disk's add a fixed tag.  The coupled
+pass keeps one keyed Philox per replica whose counter is reset to
+(offset, frog, purpose, vertex RNG key) before each read.  A
 vertex's RNG key hashes its parent's key and its child index, so every
 random number is fixed by the vertex, frog and purpose, whatever p asks
 for it and in whatever order the tree is explored.  A vertex's eta is one
@@ -43,7 +45,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hitting import _auto_escape_radius, _check_p, _distance_chain, edge_open_prob
+from .hitting import (_auto_escape_radius, _check_p, _check_trials, _distance_chain,
+                      _mc_estimate, _stream, edge_open_prob)
 from .laws import InitLaw
 from .tree import TreeParams
 
@@ -189,6 +192,11 @@ class SimConfig:
     seed: int = 0
     replica_index: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "p", _check_p(self.p))
+        if self.horizon < 1 or self.awake_cap < 1:
+            raise ValueError("horizon and awake_cap must be >= 1")
+
 
 @dataclass(frozen=True)
 class SimOutcome:
@@ -202,17 +210,9 @@ class SimOutcome:
     vertices_activated: int
 
 
-def _replica_rng(seed: int, replica_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence((seed, replica_index))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def run_frog(config: SimConfig) -> SimOutcome:
-    p = _check_p(config.p)
-    law, tree = config.law, config.tree
-    if config.horizon < 1 or config.awake_cap < 1:
-        raise ValueError("horizon and awake_cap must be >= 1")
-    rng = _replica_rng(config.seed, config.replica_index)
+    p, law, tree = config.p, config.law, config.tree
+    rng = _stream(config.seed, config.replica_index)
     table = _TreeTable(tree)
     eta_root = int(law.sample(rng, 1)[0])
     if eta_root == 0:
@@ -262,7 +262,10 @@ def wilson_interval(successes: int, n: int) -> tuple:
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    # the exact ends 0 and 1 would come out rounded (1.7e-18 at 0 of 200)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == n else min(1.0, center + half)
+    return (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -507,8 +510,6 @@ def coupled_thresholds(config: SimConfig, p_max: float,
         raise ValueError(f"p_max must lie in [0, 1), got {p_max}")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if config.awake_cap < 1:
-        raise ValueError("awake_cap must be >= 1")
     base = config.replica_index
     per_replica = [_replica_threshold(config, p_max, r)
                    for r in range(base, base + replicas)]
@@ -574,8 +575,7 @@ def run_multitype_gw(t: TreeParams, law: InitLaw, p: float,
     type with the progeny law of gw_progeny_masses.
     """
     p = _check_p(p)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((seed, replica_index, 0x475721))))
+    rng = _stream(seed, replica_index, 0x475721)
     n1 = 0
     n2 = int(law.sample(rng, t.d1 + 2).sum())
     trace = [(n1, n2)]
@@ -641,12 +641,10 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
     p = _check_p(p)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     if start_type not in (1, 2):
         raise ValueError(f"start_type must be 1 or 2, got {start_type}")
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((seed, 0x52414E47))))
+    rng = _stream(seed, 0x52414E47)
     counts = law.sample(rng, trials)
     trial_idx = np.repeat(np.arange(trials, dtype=np.int64), counts)
     # parity of y: the start's parity after k flips
@@ -659,12 +657,11 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
     hit_t = np.bincount(trial_idx[hit], minlength=trials) > 0
     ball_t = np.bincount(trial_idx[ball], minlength=trials) > 0
     end_type = 1 + (base % 2)
-    r_est, b_est = float(hit_t.mean()), float(ball_t.mean())
+    r_est = _mc_estimate(int(hit_t.sum()), trials)
+    b_est = _mc_estimate(int(ball_t.sum()), trials)
     return RangeDiskReport(
         trials=trials, k=k,
-        range_prob=r_est,
-        range_se=math.sqrt(max(r_est * (1 - r_est), 1e-300) / trials),
+        range_prob=r_est.prob, range_se=r_est.stderr,
         range_ref=edge_open_prob(t, law, p, start_type, end_type, k),
-        ball_prob=b_est,
-        ball_se=math.sqrt(max(b_est * (1 - b_est), 1e-300) / trials),
+        ball_prob=b_est.prob, ball_se=b_est.stderr,
         ball_ref=1.0 - law.pgf(1.0 - p ** k))

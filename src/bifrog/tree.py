@@ -33,9 +33,6 @@ class TreeParams:
     def kappa(self) -> int:
         return (self.d1 + 1) * (self.d2 + 1)
 
-    def swapped(self) -> "TreeParams":
-        return TreeParams(self.d2, self.d1)
-
 
 def parity(addr: VertexAddr) -> int:
     """Type of the vertex: 1 on even levels (root included), 2 on odd."""

@@ -256,6 +256,22 @@ def test_check_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["bounds", "--d1", "2", "--d2", "3"],
+     "d1,d2,eta,mean_eta,q,lb_alves,lb_biregular,ub_root,ub_closed,root_iterations,tol"),
+    (["sweep", "--d1", "2", "--d2", "2", "--p", "0.5", "--replicas", "1",
+      "--awake-cap", "10"],
+     "p,replicas,survived,fraction,ci_low,ci_high"),
+    (["check", "asymptotics"], "name,passed,detail"),
+], ids=["bounds", "sweep", "check"])
+def test_csv_header_is_pinned(capsys, argv, header):
+    # column names and order as recorded before the columns were derived
+    # from the row dataclasses; this passed there
+    code, out, _ = _run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == header
+
+
 # --- parser ------------------------------------------------------------------
 
 

@@ -4,7 +4,9 @@ The package states its invariants and input checks as explicit raises, so
 no `assert` statement may appear in it, and each input check below must
 raise ValueError.  The Philox counter reset of the coupled pass has one
 home, _Realization._seek, which reuses a single state dict, so nothing
-else in the package may assign a bit generator's state.
+else in the package may assign a bit generator's state.  Random streams
+have one constructor, hitting._stream; only the coupled realization,
+whose _seek rewrites a state that holds its key, builds its own Philox.
 """
 
 import ast
@@ -39,33 +41,56 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def _state_writers(node, where=()):
-    """Dotted names of the functions and classes around each assignment
-    to an attribute named `state`, one entry per assignment."""
+def _sites(node, match, where=()):
+    """Dotted names of the functions and classes around each node for
+    which match(node) holds, one entry per such node."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found += _state_writers(child, (*where, child.name))
+            found += _sites(child, match, (*where, child.name))
             continue
-        if isinstance(child, ast.Assign):
-            targets = child.targets
-        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-            targets = [child.target]
-        else:
-            targets = []
-        found += [".".join(where) for t in targets for n in ast.walk(t)
-                  if isinstance(n, ast.Attribute) and n.attr == "state"]
-        found += _state_writers(child, where)
+        if match(child):
+            found.append(".".join(where))
+        found += _sites(child, match, where)
     return found
+
+
+def _assigns_state(node):
+    """An assignment with an attribute named `state` among its targets."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(n, ast.Attribute) and n.attr == "state"
+               for t in targets for n in ast.walk(t))
+
+
+def _builds_philox(node):
+    """A call of anything named Philox, as np.random.Philox(...) or Philox(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "Philox"
 
 
 def test_only_seek_assigns_the_philox_state():
     probe = ast.parse("class A:\n    def f(self, g):\n"
                       "        if g:\n            g.bit_generator.state = {}\n")
-    assert _state_writers(probe) == ["A.f"]
+    assert _sites(probe, _assigns_state) == ["A.f"]
     found = [f"{name}:{where}" for name, tree in _package_sources()
-             for where in _state_writers(tree)]
+             for where in _sites(tree, _assigns_state)]
     assert found == ["sim.py:_Realization._seek"]
+
+
+def test_only_the_stream_helper_and_the_realization_build_philox():
+    probe = ast.parse("import numpy as np\nfrom numpy.random import Philox\n"
+                      "def f(s):\n    return np.random.Philox(s), [Philox(s)]\n")
+    assert _sites(probe, _builds_philox) == ["f", "f"]
+    found = [f"{name}:{where}" for name, tree in _package_sources()
+             for where in _sites(tree, _builds_philox)]
+    assert found == ["hitting.py:_stream", "sim.py:_Realization.__init__"]
 
 
 def test_hitting_pair_raises_on_a_negative_discriminant():

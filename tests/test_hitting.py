@@ -89,7 +89,7 @@ def test_swap_symmetry():
     t = TreeParams(2, 5)
     for p in (0.2, 0.6, 0.95):
         a, b = hitting_pair(t, p)
-        a_s, b_s = hitting_pair(t.swapped(), p)
+        a_s, b_s = hitting_pair(TreeParams(t.d2, t.d1), p)
         assert abs(a - b_s) < 1e-15
         assert abs(b - a_s) < 1e-15
 

@@ -146,12 +146,6 @@ def test_path_open_prob_nondecreasing_in_p(query, d1, d2, law, p, gap):
     assert path_open_prob(query, t, law, p) <= path_open_prob(query, t, law, hi) + 1e-14
 
 
-def test_path_open_prob_respects_k_max():
-    t = TreeParams(2, 2)
-    with pytest.raises(ValueError):
-        path_open_prob(PathOpenQuery(1, 2, 9), t, Constant(1), 0.5, k_max=8)
-
-
 def test_tables_reject_bad_hitting_values():
     with pytest.raises(ValueError):
         PathOpenTables(Constant(1).pgf, -0.1, 0.5)

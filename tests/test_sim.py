@@ -445,6 +445,16 @@ def test_wilson_interval_reference_values():
     assert hi1 > 1.0 - 1e-12 and lo1 < 0.99
 
 
+def test_wilson_interval_ends_are_exact():
+    # the rounded score formula gave 1.73e-18 and 0.9999999999999998 here
+    assert wilson_interval(0, 200)[0] == 0.0
+    assert wilson_interval(2000, 2000)[1] == 1.0
+    for n in (1, 7, 50, 200, 2000):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+        assert 0.0 < wilson_interval(1, n + 1)[0] < wilson_interval(n, n + 1)[1] < 1.0
+
+
 def test_estimate_survival_consistency():
     cfg = SimConfig(tree=T22, law=Constant(1), p=0.8, horizon=200,
                     awake_cap=2_000, seed=3)
@@ -750,11 +760,10 @@ def test_both_estimands_die_below_lb_and_survive_above_ub(cap):
 
 
 def test_coupled_path_rejects_awake_cap_below_one():
-    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=0, seed=48)
+    # the config checks itself, so neither the coupled nor the uncoupled
+    # path can be handed a cap below one
     with pytest.raises(ValueError, match="awake_cap"):
-        coupled_thresholds(cfg, 0.9, 3)
-    with pytest.raises(ValueError, match="awake_cap"):
-        sweep(cfg, [0.1, 0.9], 3, coupled=True)
+        SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=0, seed=48)
 
 
 def test_sweep_validation():

@@ -66,7 +66,7 @@ def test_params_validation():
 def test_kappa_and_swap():
     t = TreeParams(2, 3)
     assert t.kappa == 12
-    assert t.swapped() == TreeParams(3, 2)
+    assert TreeParams(t.d2, t.d1).kappa == 12
 
 
 def test_root_properties():
