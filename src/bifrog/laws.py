@@ -1,9 +1,10 @@
 """Laws for the number of sleeping frogs placed on each vertex.
 
 Every law exposes the probability generating function, the mean, point
-masses, the activation probability q = P[eta >= 1], a vectorized sampler
-and its scalar twin draw (which reads the same random numbers), and the
-truncated tail mean E[eta; eta > m] used to certify series remainders.
+masses (P[eta = 0] is read off them), the activation probability
+q = P[eta >= 1], a vectorized sampler and its scalar twin draw (which
+reads the same random numbers), and the truncated tail mean E[eta; eta > m]
+used to certify series remainders.
 Laws with eta == 0 almost surely are rejected: the process would be empty.
 """
 
@@ -31,7 +32,7 @@ class InitLaw:
     @property
     def p0(self) -> float:
         """Mass at zero, P[eta = 0]."""
-        raise NotImplementedError
+        return self.pmf(0)
 
     @property
     def q(self) -> float:
@@ -69,10 +70,6 @@ class Constant(InitLaw):
     def mean(self):
         return float(self.k)
 
-    @property
-    def p0(self):
-        return 0.0
-
     def pmf(self, k):
         return 1.0 if k == self.k else 0.0
 
@@ -98,10 +95,6 @@ class Bernoulli(InitLaw):
     @property
     def mean(self):
         return self.prob
-
-    @property
-    def p0(self):
-        return 1.0 - self.prob
 
     def pmf(self, k):
         if k == 0:
@@ -134,10 +127,6 @@ class Poisson(InitLaw):
     @property
     def mean(self):
         return self.mu
-
-    @property
-    def p0(self):
-        return math.exp(-self.mu)
 
     def pmf(self, k):
         if k < 0:
@@ -174,10 +163,6 @@ class Geometric(InitLaw):
     @property
     def mean(self):
         return self.r / (1.0 - self.r)
-
-    @property
-    def p0(self):
-        return 1.0 - self.r
 
     def pmf(self, k):
         if k < 0:

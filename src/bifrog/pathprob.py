@@ -4,10 +4,13 @@ A geodesic x_0, ..., x_k carries sleeping frogs on x_0 .. x_{k-1}.  The
 path is *open* when x_0's frogs either reach x_k directly, or reach some
 intermediate x_l (but not x_{l+1}) whose own frogs open the rest, and so
 on inductively.  With a = alpha, b = beta the one-step hitting
-probabilities and phi the generating function of the frog count, the four
-families (indexed by the endpoint types) satisfy mutual recursions whose
-kernel coefficients are the probabilities that the owner's frogs reach
-exactly l vertices along the path before the first closed edge.
+probabilities and phi the generating function of the frog count, the
+probabilities for the four pairs of endpoint types satisfy mutual
+recursions whose kernel coefficients are the probabilities that the
+owner's frogs reach exactly l vertices along the path before the first
+closed edge.  A path from a type-2 vertex is one from a type-1 vertex with
+a and b exchanged, so one recursion, run in both orientations, gives all
+four.
 
 For Bernoulli frog counts the same-type family collapses to the closed
 form
@@ -49,13 +52,15 @@ class PathOpenQuery:
 
 
 class PathOpenTables:
-    """Memoized evaluation of the four path-open families at fixed (pgf, a, b).
+    """Memoized path-open probabilities at fixed (pgf, a, b), by orientation.
 
-    cross_12(n) is the probability for a path of odd length 2n-1 from type 1
-    to type 2; cross_21(n) the reverse; same_11(n) and same_22(n) are the
-    even-length 2n families.  Values are filled bottom-up: level n of the
-    cross families needs levels < n, and level n of the same families needs
-    cross values <= n of the opposite orientation.
+    Orientation o = i - 1 is the type of the path's start less one: it uses
+    (x, y) = (a, b) for o = 0 and (b, a) for o = 1, since a geodesic from a
+    type-2 vertex is one from a type-1 vertex with alpha and beta exchanged.
+    cross[o][n] is the probability for a path of odd length 2n-1, same[o][n]
+    for even length 2n.  Values are filled bottom-up: level n of cross[o]
+    needs levels < n, and level n of same[o] needs cross[1 - o] up to n, so
+    each level fills both crosses before both sames.
     """
 
     def __init__(self, pgf, a: float, b: float, k_max: int = K_MAX_DEFAULT):
@@ -66,77 +71,46 @@ class PathOpenTables:
         self.b = float(b)
         self.k_max = int(k_max)
         self.n_max = (self.k_max + 1) // 2
-        self._k = [0.0]   # cross_12, 1-indexed
-        self._ks = [0.0]  # cross_21
-        self._f = [0.0]   # same_11
-        self._fs = [0.0]  # same_22
-        # kernel coefficients, filled alongside the tables:
-        # _ck1[l] = phi(1 - a^{l+1} b^l)   - phi(1 - a^l b^l)
-        # _ck2[l] = phi(1 - a^l b^l)       - phi(1 - a^l b^{l-1})
-        # _cs1[l] = phi(1 - b^{l+1} a^l)   - phi(1 - a^l b^l)
-        # _cs2[l] = phi(1 - a^l b^l)       - phi(1 - b^l a^{l-1})
-        self._ck1 = [0.0]
-        self._ck2 = [0.0]
-        self._cs1 = [0.0]
-        self._cs2 = [0.0]
+        # per orientation, 1-indexed; the kernel coefficients are
+        # c1[o][l] = phi(1 - x^{l+1} y^l) - phi(1 - x^l y^l)
+        # c2[o][l] = phi(1 - x^l y^l)     - phi(1 - x^l y^{l-1})
+        self._cross, self._same = ([0.0], [0.0]), ([0.0], [0.0])
+        self._c1, self._c2 = ([0.0], [0.0]), ([0.0], [0.0])
 
     def _require(self, n: int) -> None:
         if n > self.n_max:
             raise ValueError(f"path length {2 * n - 1}..{2 * n} exceeds k_max={self.k_max}; "
                              f"construct the tables with a larger k_max")
         pgf, a, b = self.pgf, self.a, self.b
-        while len(self._k) <= n:
-            m = len(self._k)
-            am, bm = a ** m, b ** m
-            am1, bm1 = a ** (m - 1), b ** (m - 1)  # 0**0 == 1 covers p = 0
-            self._ck1.append(pgf(1.0 - a * am * bm) - pgf(1.0 - am * bm))
-            self._ck2.append(pgf(1.0 - am * bm) - pgf(1.0 - am * bm1))
-            self._cs1.append(pgf(1.0 - b * bm * am) - pgf(1.0 - am * bm))
-            self._cs2.append(pgf(1.0 - am * bm) - pgf(1.0 - bm * am1))
-
-            k_n = 1.0 - pgf(1.0 - am * bm1)
-            ks_n = 1.0 - pgf(1.0 - bm * am1)
-            for l in range(1, m):
-                k_n += self._ck1[l] * self._k[m - l] + self._ck2[l] * self._fs[m - l]
-                ks_n += self._cs1[l] * self._ks[m - l] + self._cs2[l] * self._f[m - l]
-            self._k.append(k_n)
-            self._ks.append(ks_n)
-
-            f_n = 1.0 - pgf(1.0 - am * bm)
-            fs_n = 1.0 - pgf(1.0 - am * bm)
-            for l in range(1, m):
-                f_n += self._ck1[l] * self._f[m - l]
-                fs_n += self._cs1[l] * self._fs[m - l]
-            for l in range(1, m + 1):
-                f_n += self._ck2[l] * self._ks[m + 1 - l]
-                fs_n += self._cs2[l] * self._k[m + 1 - l]
-            self._f.append(f_n)
-            self._fs.append(fs_n)
-
-    def cross_12(self, n: int) -> float:
-        self._require(n)
-        return self._k[n]
-
-    def cross_21(self, n: int) -> float:
-        self._require(n)
-        return self._ks[n]
+        cross, same, c1, c2 = self._cross, self._same, self._c1, self._c2
+        while len(cross[0]) <= n:
+            m = len(cross[0])
+            mid = pgf(1.0 - a ** m * b ** m)  # x^m y^m is the same in both orientations
+            for o, (x, y) in enumerate(((a, b), (b, a))):
+                k1, k2, own, other = c1[o], c2[o], cross[o], same[1 - o]
+                xm, ym = x ** m, y ** m
+                ym1 = y ** (m - 1)  # 0**0 == 1 covers p = 0
+                k1.append(pgf(1.0 - x * xm * ym) - mid)
+                k2.append(mid - pgf(1.0 - xm * ym1))
+                v = 1.0 - pgf(1.0 - xm * ym1)
+                for l in range(1, m):
+                    v += k1[l] * own[m - l] + k2[l] * other[m - l]
+                own.append(v)
+            for o in (0, 1):
+                k1, k2, own, other = c1[o], c2[o], same[o], cross[1 - o]
+                v = 1.0 - mid
+                for l in range(1, m):
+                    v += k1[l] * own[m - l]
+                for l in range(1, m + 1):
+                    v += k2[l] * other[m + 1 - l]
+                own.append(v)
 
     def same_11(self, n: int) -> float:
-        self._require(n)
-        return self._f[n]
-
-    def same_22(self, n: int) -> float:
-        self._require(n)
-        return self._fs[n]
+        return self.value(PathOpenQuery(1, 1, 2 * n))
 
     def value(self, query: PathOpenQuery) -> float:
-        if (query.i, query.j) == (1, 2):
-            return self.cross_12(query.n)
-        if (query.i, query.j) == (2, 1):
-            return self.cross_21(query.n)
-        if (query.i, query.j) == (1, 1):
-            return self.same_11(query.n)
-        return self.same_22(query.n)
+        self._require(query.n)
+        return (self._same if query.i == query.j else self._cross)[query.i - 1][query.n]
 
 
 def path_open_prob(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float) -> float:

@@ -52,7 +52,7 @@ from .tree import TreeParams
 
 DENSE_CHILD_LIMIT = 64
 ACTIVATED_HARD_CAP = 10 ** 7
-#: largest neighbor table, in bytes, that _TreeTable allocates
+#: largest dense store (its neighbor table), in bytes, that _TreeTable allocates
 DENSE_TABLE_BYTES = 1 << 30
 _MAX_WALK_STEPS = 10 ** 6
 #: dtype of run_frog's vertex ids, positions and flat neighbor-table indices
@@ -82,20 +82,21 @@ def _extended(a: np.ndarray, size: int) -> np.ndarray:
 class _TreeTable:
     """Registry of the vertices run_frog visits, grown on first visit.
 
-    Ids are dense int32 in visit order with the root at 0, and parent links
-    are a flat array.  Only move() walks the tree, for a whole array of
-    frogs at once, and it takes a neighbor slot per frog: at the root every
-    slot is a child, below it slot 0 is the parent and slot c + 1 child c.
-    For small degrees nbr[v * stride + s], with stride max(d1, d2) + 1,
+    Ids are dense int32 in visit order with the root at 0.  Only move()
+    walks the tree, for a whole array of frogs at once, and it takes a
+    neighbor slot per frog: at the root every slot is a child, below it
+    slot 0 is the parent and slot c + 1 child c.  For small degrees the
+    store is one array: nbr[v * stride + s], with stride max(d1, d2) + 1,
     holds 1 + the id of the neighbor of v in slot s, or 0 while that child
     is unvisited (so the table grows by zero pages), and a move is one
     gather; the parent slot is written when the vertex is created.  The
     table and its flat indices are int32 too: the table never outgrows
     DENSE_TABLE_BYTES, so a flat index v * stride + s is below
     DENSE_TABLE_BYTES / 4 entries, which the constructor checks is at most
-    2**31.  Wider trees keep a dict keyed vid * width + child index, an
-    int64 key since it passes 2**31 on wide trees.  No level parity is
-    stored: run_frog's frogs all sit at the parity of the time step.
+    2**31.  Wider trees keep a flat parent array and a dict keyed
+    vid * width + child index, an int64 key since it passes 2**31 on wide
+    trees.  No level parity is stored: run_frog's frogs all sit at the
+    parity of the time step.
     """
 
     def __init__(self, t: TreeParams):
@@ -109,16 +110,16 @@ class _TreeTable:
                 f"{ACTIVATED_HARD_CAP} vertices or a {DENSE_TABLE_BYTES}-byte "
                 f"neighbor table would index past the {_VID} range")
         cap = 1024
-        self.parent = np.full(cap, -1, dtype=_VID)
         if self.dense:
             self.nbr = np.zeros(cap * self.stride, dtype=_VID)
         else:
+            self.parent = np.full(cap, -1, dtype=_VID)
             self.child = {}
         self.n = 1
 
     def _grow(self, need: int) -> None:
         _check_vertex_count(need)
-        cap = self.parent.size
+        cap = self.nbr.size // self.stride if self.dense else self.parent.size
         if need <= cap:
             return
         new_cap = min(max(need, 2 * cap), ACTIVATED_HARD_CAP)
@@ -128,17 +129,18 @@ class _TreeTable:
                 raise SimResourceError(
                     f"the neighbor table of {need} vertices would exceed "
                     f"{DENSE_TABLE_BYTES} bytes; lower the horizon or awake_cap")
-            new_cap = min(new_cap, fit)
-            self.nbr = _extended(self.nbr, new_cap * self.stride)
-        self.parent = _extended(self.parent, new_cap)
+            self.nbr = _extended(self.nbr, min(new_cap, fit) * self.stride)
+        else:
+            self.parent = _extended(self.parent, new_cap)
 
     def _add(self, pv: np.ndarray) -> np.ndarray:
         """Ids of new children of the vertices pv, one each, in order."""
         lo, hi = self.n, self.n + pv.size
         self._grow(hi)
-        self.parent[lo:hi] = pv
         if self.dense:
             self.nbr[lo * self.stride:hi * self.stride:self.stride] = pv + 1
+        else:
+            self.parent[lo:hi] = pv
         self.n = hi
         return np.arange(lo, hi, dtype=_VID)
 

@@ -7,6 +7,8 @@ home, _Realization._seek, which reuses a single state dict, so nothing
 else in the package may assign a bit generator's state.  Random streams
 have one constructor, hitting._stream; only the coupled realization,
 whose _seek rewrites a state that holds its key, builds its own Philox.
+The count of settable values is pinned, so a change that adds or removes
+one must update SETTABLE_VALUES and say why.
 """
 
 import ast
@@ -26,6 +28,9 @@ from bifrog.tree import TreeParams
 
 T23 = TreeParams(2, 3)
 LAW = Poisson(1.0)
+#: defaulted parameters, **kwargs, defaulted dataclass fields and
+#: add_argument call sites over the package's modules
+SETTABLE_VALUES = 41
 
 
 def _package_sources():
@@ -67,12 +72,14 @@ def _assigns_state(node):
                for t in targets for n in ast.walk(t))
 
 
+def _name(node):
+    """The name a Name or Attribute node ends in, else None."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def _builds_philox(node):
     """A call of anything named Philox, as np.random.Philox(...) or Philox(...)."""
-    if not isinstance(node, ast.Call):
-        return False
-    f = node.func
-    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "Philox"
+    return isinstance(node, ast.Call) and _name(node.func) == "Philox"
 
 
 def test_only_seek_assigns_the_philox_state():
@@ -91,6 +98,38 @@ def test_only_the_stream_helper_and_the_realization_build_philox():
     found = [f"{name}:{where}" for name, tree in _package_sources()
              for where in _sites(tree, _builds_philox)]
     assert found == ["hitting.py:_stream", "sim.py:_Realization.__init__"]
+
+
+def _is_dataclass(node):
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _settable(tree):
+    """Defaulted positional and keyword-only parameters, **kwargs, defaulted
+    fields of @dataclass classes and add_argument call sites in tree."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            count += (len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+                      + (args.kwarg is not None))
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+        elif isinstance(node, ast.Call):
+            count += _name(node.func) == "add_argument"
+    return count
+
+
+def test_settable_values_are_counted():
+    probe = ast.parse("import dataclasses\nfrom dataclasses import dataclass\n"
+                      "@dataclass(frozen=True)\nclass C:\n    x: int\n    y: int = 0\n"
+                      "@dataclasses.dataclass\nclass D:\n    z: int = 1\n"
+                      "class E:\n    w: int = 2\n"
+                      "def f(a, b=1, *, c=2, d, **kw):\n    ap.add_argument('--x')\n")
+    assert _settable(probe) == 6  # y, z, b, c, kw and --x
+    assert sum(_settable(tree) for _, tree in _package_sources()) == SETTABLE_VALUES
 
 
 def test_hitting_pair_raises_on_a_negative_discriminant():

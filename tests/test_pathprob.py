@@ -76,12 +76,12 @@ def test_level_one_values_match_direct_decomposition():
     phi = law.pgf
     a, b = 0.55, 0.4
     tables = PathOpenTables(phi, a, b)
-    assert abs(tables.cross_12(1) - (1.0 - phi(1.0 - a))) < 1e-15
-    assert abs(tables.cross_21(1) - (1.0 - phi(1.0 - b))) < 1e-15
+    assert abs(tables.value(PathOpenQuery(1, 2, 1)) - (1.0 - phi(1.0 - a))) < 1e-15
+    assert abs(tables.value(PathOpenQuery(2, 1, 1)) - (1.0 - phi(1.0 - b))) < 1e-15
     want_11 = (1.0 - phi(1.0 - a * b)) + (phi(1.0 - a * b) - phi(1.0 - a)) * (1.0 - phi(1.0 - b))
     want_22 = (1.0 - phi(1.0 - a * b)) + (phi(1.0 - a * b) - phi(1.0 - b)) * (1.0 - phi(1.0 - a))
     assert abs(tables.same_11(1) - want_11) < 1e-15
-    assert abs(tables.same_22(1) - want_22) < 1e-15
+    assert abs(tables.value(PathOpenQuery(2, 2, 2)) - want_22) < 1e-15
 
 
 def test_swapping_a_b_exchanges_families():
@@ -90,15 +90,16 @@ def test_swapping_a_b_exchanges_families():
     fwd = PathOpenTables(law.pgf, a, b, k_max=20)
     rev = PathOpenTables(law.pgf, b, a, k_max=20)
     for n in range(1, 10):
-        assert abs(fwd.cross_12(n) - rev.cross_21(n)) < 1e-15
-        assert abs(fwd.same_11(n) - rev.same_22(n)) < 1e-15
+        k = 2 * n - 1
+        assert fwd.value(PathOpenQuery(1, 2, k)) == rev.value(PathOpenQuery(2, 1, k))
+        assert fwd.same_11(n) == rev.value(PathOpenQuery(2, 2, k + 1))
 
 
 def test_values_are_probabilities_and_decrease_with_length():
     for law in (Constant(1), Poisson(0.8), Geometric(0.3)):
         tables = PathOpenTables(law.pgf, 0.7, 0.6, k_max=40)
-        for fam in (tables.cross_12, tables.cross_21, tables.same_11, tables.same_22):
-            vals = [fam(n) for n in range(1, 20)]
+        for i, j in ((1, 2), (2, 1), (1, 1), (2, 2)):
+            vals = [tables.value(PathOpenQuery(i, j, 2 * n - (i != j))) for n in range(1, 20)]
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
 
@@ -114,7 +115,7 @@ def test_path_open_at_least_product_of_edge_terms():
     edge_b = 1.0 - law.pgf(1.0 - b)
     for n in range(1, 8):
         lower = edge_a**n * edge_b ** (n - 1) if n > 1 else edge_a
-        assert tables.cross_12(n) >= lower - 1e-15
+        assert tables.value(PathOpenQuery(1, 2, 2 * n - 1)) >= lower - 1e-15
 
 
 def test_path_open_prob_monotone_in_p():
@@ -168,12 +169,12 @@ def test_degenerate_hitting_pairs():
     law = Poisson(1.0)
     dead = PathOpenTables(law.pgf, 0.0, 0.0)
     for n in range(1, 5):
-        assert dead.cross_12(n) == 0.0
+        assert dead.value(PathOpenQuery(1, 2, 2 * n - 1)) == 0.0
         assert dead.same_11(n) == 0.0
     full = PathOpenTables(Constant(1).pgf, 1.0, 1.0)
     for n in range(1, 5):
-        assert abs(full.cross_12(n) - 1.0) < 1e-15
-        assert abs(full.same_22(n) - 1.0) < 1e-15
+        assert abs(full.value(PathOpenQuery(1, 2, 2 * n - 1)) - 1.0) < 1e-15
+        assert abs(full.value(PathOpenQuery(2, 2, 2 * n)) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("ijk", [(1, 2, 3), (2, 1, 3), (1, 1, 4), (2, 2, 4)])

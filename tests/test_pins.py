@@ -1,18 +1,26 @@
-"""Exact outputs of the four Monte Carlo oracles at small trial counts.
+"""Exact outputs of the Monte Carlo oracles, the path-open tables and the
+laws' zero mass.
 
 The oracle tests elsewhere compare within four standard errors, which a
 changed random stream would still pass.  These values were recorded at the
 commit before the oracles shared one stream constructor and one estimate
 type, and passed there; they pin every random number the oracles read.
+
+The path-open tests elsewhere compare within 1e-12 or 1e-15, which a
+reordered sum would still pass.  The table digests and the zero masses were
+recorded at the commit before the path-open recursion was written once for
+both orientations of a geodesic and before P[eta = 0] was read off the pmf,
+and passed there.
 """
 
+import hashlib
 from dataclasses import astuple
 
 import pytest
 
 from bifrog.hitting import mc_hit_neighbor
 from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
-from bifrog.pathprob import PathOpenQuery, mc_path_open
+from bifrog.pathprob import PathOpenQuery, PathOpenTables, mc_path_open
 from bifrog.sim import mc_range_vs_disk, run_multitype_gw
 from bifrog.tree import TreeParams
 
@@ -51,3 +59,41 @@ def _est(e):
         "range-poisson", "range-geometric", "gw-const", "gw-poisson"])
 def test_oracle_outputs_are_pinned(call, expected):
     assert call() == expected
+
+
+@pytest.mark.parametrize("law, a, b, expected", [
+    (Constant(2), 0.0, 0.45, "7fcfc09c03506154"),
+    (Constant(2), 0.62, 0.35, "07c72826240201f0"),
+    (Constant(2), 0.55, 1.0, "8d83bdee90c286e5"),
+    (Constant(2), 1.0, 0.3, "17d52adb17165a24"),
+    (Bernoulli(0.6), 0.0, 0.45, "499fd027d739e249"),
+    (Bernoulli(0.6), 0.62, 0.35, "30e2871b563bd022"),
+    (Bernoulli(0.6), 0.55, 1.0, "ee0d982e462321a7"),
+    (Bernoulli(0.6), 1.0, 0.3, "f5a911ce4dfc43d5"),
+    (Poisson(1.3), 0.0, 0.45, "a6aaf27293b5313c"),
+    (Poisson(1.3), 0.62, 0.35, "5ca8335f83bec712"),
+    (Poisson(1.3), 0.55, 1.0, "ce7e718b33525925"),
+    (Poisson(1.3), 1.0, 0.3, "c0eaaf878f84ff43"),
+    (Geometric(0.45), 0.0, 0.45, "3adb16b8df095eea"),
+    (Geometric(0.45), 0.62, 0.35, "7aa2de25fe701a80"),
+    (Geometric(0.45), 0.55, 1.0, "d91736cfe6582640"),
+    (Geometric(0.45), 1.0, 0.3, "c6164df32157b41d"),
+])
+def test_path_open_tables_are_pinned(law, a, b, expected):
+    # the four families (1,1), (1,2), (2,1), (2,2) at levels n = 1..12, each
+    # value written exactly by float.hex; the digest is the first 16 hex
+    # digits of the SHA-256 of those 48 words joined by spaces
+    tables = PathOpenTables(law.pgf, a, b, k_max=24)
+    words = [tables.value(PathOpenQuery(i, j, 2 * n - (i != j))).hex()
+             for i in (1, 2) for j in (1, 2) for n in range(1, 13)]
+    assert hashlib.sha256(" ".join(words).encode()).hexdigest()[:16] == expected
+
+
+@pytest.mark.parametrize("law, p0, q", [
+    (Constant(2), 0.0, 1.0),
+    (Bernoulli(0.6), 0.4, 0.6),
+    (Poisson(1.3), 0.2725317930340126, 0.7274682069659875),
+    (Geometric(0.45), 0.55, 0.44999999999999996),
+])
+def test_zero_mass_and_activation_probability_are_pinned(law, p0, q):
+    assert (law.p0, law.q) == (p0, q)

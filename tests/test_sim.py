@@ -162,6 +162,18 @@ def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
     assert run_frog(wide).vertices_activated > 2_000
 
 
+def test_dense_store_stays_within_the_byte_bound(monkeypatch):
+    bound = 1 << 16
+    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
+    table = sim._TreeTable(T22)
+    fit = bound // (table.stride * table.nbr.itemsize)
+    table._add(np.zeros(fit - 1, dtype=table.nbr.dtype))  # ids 1..fit-1
+    assert table.n == fit
+    # every array the dense store holds counts against the bound
+    held = [a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray)]
+    assert sum(held) <= bound
+
+
 def test_int32_index_range_raises_before_allocating(monkeypatch):
     size = sim._TreeTable(T22).nbr.itemsize
     assert size == 4
@@ -176,7 +188,7 @@ def test_int32_index_range_raises_before_allocating(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the first parent array alone would take 1024 ids of 4 bytes
+    # the first neighbor table alone would take 1024 rows of three 4-byte ids
     assert peak < 1024 * size
     # the dict store keeps no flat table, so only its ids are bounded
     assert sim._TreeTable(T3_100).parent.dtype == np.int32
@@ -364,7 +376,7 @@ def _bind(ids, addrs, y, addr):
 def test_tree_table_moves_match_the_address_oracle(tree, jumps):
     table = sim._TreeTable(tree)
     assert table.dense == (tree == T23)
-    vid = table.parent.dtype
+    vid = (table.nbr if table.dense else table.parent).dtype
     assert vid == np.int32
     ids, addrs = {ROOT: 0}, {0: ROOT}
     pos = np.zeros(len(jumps[0]), dtype=vid)
@@ -393,8 +405,10 @@ def test_tree_table_moves_match_the_address_oracle(tree, jumps):
         else:
             # fresh ids follow the order in which the walkers reach them
             assert fresh.tolist() == list(dict.fromkeys(entered))
-        for y in fresh.tolist():
-            assert table.parent[y] == ids[parent(addrs[y])]
+        # slot 0 of a vertex below the root is its parent
+        up, none = table.move(fresh, np.zeros_like(fresh))
+        assert up.tolist() == [ids[parent(addrs[y])] for y in fresh.tolist()]
+        assert none.size == 0
 
 
 @pytest.mark.parametrize("tree", [T23, T3_100])
