@@ -22,7 +22,7 @@ edge_open_prob gives the probability that a frog placed at one end of a
 fixed geodesic of length k ever reaches the far end, with the number of
 frogs drawn from an initial law.
 
-Every random stream outside the coupled sweep comes from _stream, and the
+Every random stream comes from _stream, the coupled sweep's included, and the
 Monte Carlo oracles report an McEstimate built by _mc_estimate.
 """
 

@@ -25,10 +25,10 @@ moves one frog at a time, so _Realization keeps its tree in plain Python
 containers, and the pass keeps each walk as a plain tuple in its loop.
 Replicas run one after another in the calling thread.
 
-Randomness is Philox counter-based.  Every stream outside the coupled
-pass comes from hitting._stream: run_frog's is keyed (seed, replica),
-run_multitype_gw's and mc_range_vs_disk's add a fixed tag.  The coupled
-pass keeps one keyed Philox per replica whose counter is reset to
+Randomness is Philox counter-based, and every stream comes from
+hitting._stream: run_frog's is keyed (seed, replica), run_multitype_gw's,
+mc_range_vs_disk's and the coupled pass's add a fixed tag.  The coupled
+pass keeps its replica's stream and resets the counter to
 (offset, frog, purpose, vertex RNG key) before each read.  A
 vertex's RNG key hashes its parent's key and its child index, so every
 random number is fixed by the vertex, frog and purpose, whatever p asks
@@ -84,24 +84,23 @@ class _TreeTable:
 
     Ids are dense int32 in visit order with the root at 0.  Only move()
     walks the tree, for a whole array of frogs at once, and it takes a
-    neighbor slot per frog: at the root every slot is a child, below it
-    slot 0 is the parent and slot c + 1 child c.  For small degrees the
-    store is one array: nbr[v * stride + s], with stride max(d1, d2) + 1,
-    holds 1 + the id of the neighbor of v in slot s, or 0 while that child
-    is unvisited (so the table grows by zero pages), and a move is one
-    gather; the parent slot is written when the vertex is created.  The
-    table and its flat indices are int32 too: the table never outgrows
-    DENSE_TABLE_BYTES, so a flat index v * stride + s is below
-    DENSE_TABLE_BYTES / 4 entries, which the constructor checks is at most
-    2**31.  Wider trees keep a flat parent array and a dict keyed
-    vid * width + child index, an int64 key since it passes 2**31 on wide
-    trees.  No level parity is stored: run_frog's frogs all sit at the
-    parity of the time step.
+    neighbor slot per frog, numbered as in tree.neighbors: at the root
+    every slot is a child, below it slot 0 is the parent and slot c + 1
+    child c.  The edge from v through slot s has the key v * stride + s,
+    with stride max(d1, d2) + 1.  For small degrees the store is one
+    array: nbr[key] holds 1 + the id of the neighbor, or 0 while that
+    child is unvisited (so the table grows by zero pages), and a move is
+    one gather; the parent slot is written when the vertex is created.
+    The table and its keys are int32 too: the table never outgrows
+    DENSE_TABLE_BYTES, so a key is below DENSE_TABLE_BYTES / 4 entries,
+    which the constructor checks is at most 2**31.  Wider trees keep a
+    flat parent array and a dict from the key of each child edge, an int64
+    key since it passes 2**31 on wide trees.  No level parity is stored:
+    run_frog's frogs all sit at the parity of the time step.
     """
 
     def __init__(self, t: TreeParams):
-        self.width = max(t.d1 + 1, t.d2)
-        self.dense = self.width <= DENSE_CHILD_LIMIT
+        self.dense = max(t.d1 + 1, t.d2) <= DENSE_CHILD_LIMIT
         self.stride = max(t.d1, t.d2) + 1
         top = np.iinfo(_VID).max
         if ACTIVATED_HARD_CAP > top or (
@@ -166,12 +165,10 @@ class _TreeTable:
         to_parent = (slot == 0) & (movers != 0)
         targets[to_parent] = self.parent[movers[to_parent]]
         cm = ~to_parent
-        cpos = movers[cm].astype(np.int64)
-        cidx = slot[cm] - (cpos != 0)
         # fresh ids follow the order in which the movers reach them
         child, n = self.child, self.n
         got, new_keys = [], []
-        for key in (cpos * self.width + cidx).tolist():
+        for key in (movers[cm].astype(np.int64) * self.stride + slot[cm]).tolist():
             y = child.get(key)
             if y is None:
                 y = child[key] = n + len(new_keys)
@@ -179,7 +176,7 @@ class _TreeTable:
             got.append(y)
         fresh = _EMPTY
         if new_keys:
-            fresh = self._add(np.array(new_keys, dtype=np.int64) // self.width)
+            fresh = self._add(np.array(new_keys, dtype=np.int64) // self.stride)
         targets[cm] = got
         return targets, fresh
 
@@ -333,14 +330,12 @@ class _Realization:
 
     The realization also owns the replica's tree, grown one jump at a
     time: ids in visit order with the root at 0, a parent list, and a
-    child dict keyed vid * width + child index.
+    child dict keyed v * stride + slot as in _TreeTable.
     """
 
     def __init__(self, config: SimConfig, replica: int):
-        key = np.random.SeedSequence(
-            (config.seed, replica, 0xC0FFEE)).generate_state(2, np.uint64)
-        self.key = [int(k) for k in key]
-        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self.gen = _stream(config.seed, replica, 0xC0FFEE)
+        self.key = self.gen.bit_generator.state["state"]["key"].tolist()
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": [0, 0, 0, 0], "key": self.key},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
@@ -350,7 +345,7 @@ class _Realization:
         top = law.support_max
         self.const = top if top is not None and law.pmf(top) == 1.0 else None
         self.degs = (config.tree.d1 + 1, config.tree.d2 + 1)
-        self.width = max(config.tree.d1 + 1, config.tree.d2)
+        self.stride = max(config.tree.d1, config.tree.d2) + 1
         self.parent = [-1]
         self.child = {}
         self.rng_key = [0]
@@ -379,15 +374,14 @@ class _Realization:
         slot = min(int(u * deg), deg - 1)
         if vid and not slot:
             return self.parent[vid]
-        cidx = slot - (vid != 0)
-        key = vid * self.width + cidx
+        key = vid * self.stride + slot
         y = self.child.get(key)
         if y is None:
             y = len(self.parent)
             _check_vertex_count(y + 1)
             self.child[key] = y
             self.parent.append(vid)
-            self.rng_key.append(_child_key(self.rng_key[vid], cidx))
+            self.rng_key.append(_child_key(self.rng_key[vid], slot - (vid != 0)))
         return y
 
 
@@ -418,7 +412,6 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     # (parity odd) before step i of block `block`, u that block or None
     ready = [(0, f, 0, 0, 0, 0, None) for f in range(total)]
     heap: list = []
-    seq = 0
     level = 0.0
     while True:
         while ready:
@@ -433,8 +426,8 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
                     # a parked walk is rarely resumed (about 10 resumes per
                     # replica at T(2,2), const:1, cap 2000), so it drops its
                     # uniforms instead of holding them in memory
-                    seq += 1
-                    push(heap, (life, seq, (home, frog, block, i, pos, odd, None)))
+                    # a tie on life is settled by (home, frog); p_hat ignores tie order
+                    push(heap, (life, (home, frog, block, i, pos, odd, None)))
                     break
                 if block * pairs + i >= max_steps:
                     raise SimResourceError(
@@ -451,7 +444,7 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
                     return level, True
                 ready.extend([(pos, f, 0, 0, pos, odd, None) for f in range(k)])
         # every walk is parked here: none ends, since lifetime uniforms are < 1
-        level, _, walk = heapq.heappop(heap)
+        level, walk = heapq.heappop(heap)
         if level >= p_max:
             return math.inf, True
         ready.append(walk)
@@ -542,6 +535,10 @@ def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False) -> 
     return coupled_thresholds(config, grid_p_max(ps), replicas).estimates(ps)
 
 
+#: largest progeny count gw_progeny_masses tabulates for a law of unbounded support
+_PROGENY_K_CAP = 256
+
+
 @dataclass(frozen=True)
 class GwOutcome:
     extinct: bool
@@ -595,9 +592,11 @@ def run_multitype_gw(t: TreeParams, law: InitLaw, p: float,
     return GwOutcome(extinct=False, at_generation=None, population_trace=trace)
 
 
-def gw_progeny_masses(t: TreeParams, law: InitLaw, p: float, parent_type: int,
-                      k_cap: int | None = None) -> np.ndarray:
-    """Progeny masses P[k children] for k = 0..k_cap of one particle.
+def gw_progeny_masses(t: TreeParams, law: InitLaw, p: float,
+                      parent_type: int) -> np.ndarray:
+    """Progeny masses P[k children] for k = 0..k_cap of one particle, with
+    k_cap = 1 + the law's largest support point, or _PROGENY_K_CAP for a
+    law of unbounded support.
 
     P[0] = 1 - p, P[1] = p (1 + d rho_0) / (d + 1), and for k >= 2
     P[k] = p d rho_{k-1} / (d + 1), with d = d1 for type-1 parents and d2
@@ -607,12 +606,10 @@ def gw_progeny_masses(t: TreeParams, law: InitLaw, p: float, parent_type: int,
     if parent_type not in (1, 2):
         raise ValueError(f"parent_type must be 1 or 2, got {parent_type}")
     d = t.d1 if parent_type == 1 else t.d2
-    if k_cap is None:
-        k_cap = law.support_max + 1 if law.support_max is not None else 256
+    k_cap = law.support_max + 1 if law.support_max is not None else _PROGENY_K_CAP
     m = np.zeros(k_cap + 1)
     m[0] = 1.0 - p
-    if k_cap >= 1:
-        m[1] = p * (1.0 + d * law.p0) / (d + 1)
+    m[1] = p * (1.0 + d * law.p0) / (d + 1)
     for k in range(2, k_cap + 1):
         m[k] = p * d * law.pmf(k - 1) / (d + 1)
     return m

@@ -1,4 +1,4 @@
-"""Rooted biregular tree: parameters, vertex addressing, and the metric.
+"""Rooted biregular tree: parameters and vertex addressing.
 
 Vertices at even distance from the root have degree d1 + 1, vertices at
 odd distance have degree d2 + 1.  A vertex is addressed by its path from
@@ -7,7 +7,10 @@ root carries d1 + 1 children (it has no parent), every other even-level
 vertex carries d1 and every odd-level vertex carries d2.
 
 The simulator keeps its own integer-id tree stores; the address helpers
-here are the independent oracle the tests check those stores against.
+here are the independent oracle the tests check all three of them
+against.  neighbors(t, addr)[slot] is the neighbor the stores reach
+through slot, and a store keys that edge v * stride + slot, with v the
+id of addr and stride max(d1, d2) + 1.
 """
 
 from __future__ import annotations
@@ -50,16 +53,6 @@ def num_children(t: TreeParams, addr: VertexAddr) -> int:
     return t.d1 if depth % 2 == 0 else t.d2
 
 
-def validate_addr(t: TreeParams, addr: VertexAddr) -> None:
-    prefix = ()
-    for c in addr:
-        n = num_children(t, prefix)
-        if not isinstance(c, int) or not 0 <= c < n:
-            raise ValueError(f"address {addr!r} invalid at prefix {prefix!r}: "
-                             f"child index {c!r} not in [0, {n})")
-        prefix = prefix + (c,)
-
-
 def parent(addr: VertexAddr) -> VertexAddr:
     if not addr:
         raise ValueError("the root has no parent")
@@ -71,16 +64,12 @@ def children(t: TreeParams, addr: VertexAddr) -> list:
 
 
 def neighbors(t: TreeParams, addr: VertexAddr) -> list:
-    """All degree(addr) neighbors, parent first for non-root vertices."""
+    """All degree(addr) neighbors, parent first for non-root vertices.
+
+    The index into this list is the stores' neighbor slot: at the root
+    slot c is child c, below it slot 0 is the parent and slot c + 1 child c.
+    """
     out = [] if not addr else [addr[:-1]]
     out.extend(children(t, addr))
     return out
 
-
-def distance(u: VertexAddr, v: VertexAddr) -> int:
-    lcp = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        lcp += 1
-    return len(u) + len(v) - 2 * lcp

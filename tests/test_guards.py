@@ -5,8 +5,9 @@ no `assert` statement may appear in it, and each input check below must
 raise ValueError.  The Philox counter reset of the coupled pass has one
 home, _Realization._seek, which reuses a single state dict, so nothing
 else in the package may assign a bit generator's state.  Random streams
-have one constructor, hitting._stream; only the coupled realization,
-whose _seek rewrites a state that holds its key, builds its own Philox.
+have one constructor, hitting._stream, so nothing else in the package
+builds a Philox or a SeedSequence: the coupled realization takes its
+stream from _stream too and reads the key back for _seek.
 The count of settable values is pinned, so a change that adds or removes
 one must update SETTABLE_VALUES and say why.
 """
@@ -30,7 +31,7 @@ T23 = TreeParams(2, 3)
 LAW = Poisson(1.0)
 #: defaulted parameters, **kwargs, defaulted dataclass fields and
 #: add_argument call sites over the package's modules
-SETTABLE_VALUES = 41
+SETTABLE_VALUES = 40
 
 
 def _package_sources():
@@ -77,9 +78,10 @@ def _name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def _builds_philox(node):
-    """A call of anything named Philox, as np.random.Philox(...) or Philox(...)."""
-    return isinstance(node, ast.Call) and _name(node.func) == "Philox"
+def _builds_stream(node):
+    """A call of anything named Philox or SeedSequence, as
+    np.random.Philox(...) or Philox(...)."""
+    return isinstance(node, ast.Call) and _name(node.func) in ("Philox", "SeedSequence")
 
 
 def test_only_seek_assigns_the_philox_state():
@@ -91,13 +93,15 @@ def test_only_seek_assigns_the_philox_state():
     assert found == ["sim.py:_Realization._seek"]
 
 
-def test_only_the_stream_helper_and_the_realization_build_philox():
+def test_only_the_stream_helper_builds_a_stream():
     probe = ast.parse("import numpy as np\nfrom numpy.random import Philox\n"
-                      "def f(s):\n    return np.random.Philox(s), [Philox(s)]\n")
-    assert _sites(probe, _builds_philox) == ["f", "f"]
+                      "def f(s):\n    return np.random.Philox(s), [Philox(s)]\n"
+                      "class A:\n    k = np.random.SeedSequence(1).generate_state(2)\n")
+    assert _sites(probe, _builds_stream) == ["f", "f", "A"]
     found = [f"{name}:{where}" for name, tree in _package_sources()
-             for where in _sites(tree, _builds_philox)]
-    assert found == ["hitting.py:_stream", "sim.py:_Realization.__init__"]
+             for where in _sites(tree, _builds_stream)]
+    # its Philox and its SeedSequence
+    assert found == ["hitting.py:_stream"] * 2
 
 
 def _is_dataclass(node):

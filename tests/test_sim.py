@@ -40,11 +40,11 @@ from bifrog.sim import (
     sweep,
     wilson_interval,
 )
-from bifrog.tree import ROOT, TreeParams, children, degree, parent, parity
+from bifrog.tree import ROOT, TreeParams, degree, neighbors, parent, parity
 
 T22 = TreeParams(2, 2)
 T23 = TreeParams(2, 3)
-T3_100 = TreeParams(3, 100)  # width 100 > DENSE_CHILD_LIMIT: the dict branch
+T3_100 = TreeParams(3, 100)  # 100 children > DENSE_CHILD_LIMIT: the dict branch
 
 
 class _CountingLaw(Constant):
@@ -198,16 +198,16 @@ def test_int32_index_range_raises_before_allocating(monkeypatch):
 
 
 def test_wide_dict_keys_pass_the_int32_range():
-    # at width 10,000 the key vid * width + child index passes 2**31 once
-    # vid > 214,748, far below ACTIVATED_HARD_CAP
+    # at stride 10,001 the key v * stride + slot passes 2**31 once
+    # v > 214,726, far below ACTIVATED_HARD_CAP
     table = sim._TreeTable(TreeParams(4, 10_000))
-    v = 2 ** 31 // table.width + 1
+    v = 2 ** 31 // table.stride + 1
     table._add(np.zeros(v, dtype=table.parent.dtype))  # ids 1..v below the root
     movers = np.array([v, v], dtype=table.parent.dtype)
     targets, fresh = table.move(movers, np.array([1, 1], dtype=movers.dtype))
     assert fresh.tolist() == [v + 1] and targets.tolist() == [v + 1, v + 1]
     assert table.parent[v + 1] == v
-    assert list(table.child) == [v * table.width]
+    assert list(table.child) == [v * table.stride + 1]
     back, _ = table.move(fresh, np.zeros(1, dtype=movers.dtype))
     assert back.tolist() == [v]
 
@@ -351,14 +351,6 @@ _JUMPS = _jumps(st.integers(1, 8), 40)
 _CROWD = _jumps(st.integers(12, 32), 6)
 
 
-def _neighbor(tree, addr, slot):
-    """The stores' slot convention: at the root every slot is a child
-    index, elsewhere slot 0 is the parent and slot - 1 the child index."""
-    if addr and slot == 0:
-        return parent(addr)
-    return children(tree, addr)[slot - (len(addr) > 0)]
-
-
 def _bind(ids, addrs, y, addr):
     """Record that a store gave id y to addr, one-to-one."""
     if addr in ids:
@@ -385,7 +377,7 @@ def test_tree_table_moves_match_the_address_oracle(tree, jumps):
         # run_frog draws one degree per step: all walkers share its parity
         assert set(deg.tolist()) == {tree.d2 + 1 if step % 2 else tree.d1 + 1}
         slot = np.minimum((np.array(us) * deg).astype(np.int64), deg - 1).astype(vid)
-        want = [_neighbor(tree, addrs[v], c) for v, c in zip(pos.tolist(), slot.tolist())]
+        want = [neighbors(tree, addrs[v])[c] for v, c in zip(pos.tolist(), slot.tolist())]
         n = table.n
         pos, fresh = table.move(pos, slot)
         # ids come back in the store's own dtype
@@ -424,7 +416,7 @@ def test_realization_steps_match_the_address_oracle(tree, jumps):
             deg = degree(tree, addrs[v])
             assert real.degs[odd] == deg
             assert odd == (parity(addrs[v]) == 2)
-            want = _neighbor(tree, addrs[v], min(int(u * deg), deg - 1))
+            want = neighbors(tree, addrs[v])[min(int(u * deg), deg - 1)]
             n = len(real.parent)
             y = real.step(v, odd, u)
             assert y == (ids[want] if want in ids else n)
@@ -811,7 +803,7 @@ def test_gw_progeny_masses_hand_values():
 
 
 def test_gw_progeny_masses_unbounded_law_near_one():
-    masses = gw_progeny_masses(T23, Poisson(1.0), 0.7, 2, k_cap=80)
+    masses = gw_progeny_masses(T23, Poisson(1.0), 0.7, 2)
     assert masses.sum() <= 1.0 + 1e-12
     assert masses.sum() > 1.0 - 1e-9
 
