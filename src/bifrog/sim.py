@@ -21,20 +21,19 @@ than awake_cap frogs; horizon plays no part.  All p share one realization
 per replica, so one minimax pass (after Newman and Ziff) finds the
 replica's critical value p_hat, the least p at which the woken total
 exceeds the cap, and survival at every p < 1 is p_hat < p.  That pass
-moves one frog at a time, so _Realization keeps its tree in plain Python
-containers, and the pass keeps each walk as a plain tuple in its loop.
+moves one frog at a time in a loop that owns the replica's tree, with
+each walk a plain tuple; _Realization is the random environment alone.
 Replicas run one after another in the calling thread.
 
 Randomness is Philox counter-based, and every stream comes from
 hitting._stream: run_frog's is keyed (seed, replica), run_multitype_gw's,
 mc_range_vs_disk's and the coupled pass's add a fixed tag.  The coupled
-pass keeps its replica's stream and resets the counter to
-(offset, frog, purpose, vertex RNG key) before each read.  A
-vertex's RNG key hashes its parent's key and its child index, so every
-random number is fixed by the vertex, frog and purpose, whatever p asks
-for it and in whatever order the tree is explored.  A vertex's eta is one
-scalar law.draw; a law with one support point (a Constant) skips the draw
-and its reset.
+pass keeps its replica's stream and resets the counter to (offset, frog,
+purpose, vertex RNG key) before each read.  A vertex's RNG key hashes its
+parent's key and its child index, so every random number is fixed by the
+vertex, frog and purpose, whatever p asks for it and in whatever order
+the tree is explored.  A vertex's eta is one scalar law.draw; a law with
+one support point (a Constant) skips the draw and its reset.
 """
 
 from __future__ import annotations
@@ -193,8 +192,12 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_p(self.p))
-        if self.horizon < 1 or self.awake_cap < 1:
-            raise ValueError("horizon and awake_cap must be >= 1")
+        # an integer is what operator.index takes (numpy ints too), bar a bool
+        for name, low in (("horizon", 1), ("awake_cap", 1), ("seed", 0),
+                          ("replica_index", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__") or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,6 @@ _PUR_ETA, _PUR_WALK = 1, 2
 #: (lifetime, jump) uniform pairs per walk block; one block spans
 #: 2 * _BLOCK_PAIRS / 4 Philox counter increments
 _BLOCK_PAIRS = 32
-_BLOCK_STRIDE = _BLOCK_PAIRS // 2
 _MASK64 = (1 << 64) - 1
 
 
@@ -318,19 +320,14 @@ class _Realization:
     Vertex v has a 64-bit RNG key fixed by its place in the tree: 0 at the
     root and _child_key(key of parent, child index) below it, so a key
     never depends on the order in which the tree was explored (a hash
-    collision would reuse random numbers, never merge vertices).  All
-    randomness at v is read from Philox under the replica key with counter
-    (offset, frog, purpose, key of v): eta(v), one scalar law.draw, with
-    purpose _PUR_ETA, and frog f's lifetime and jump uniforms with purpose
-    _PUR_WALK, in blocks of _BLOCK_PAIRS pairs that are consecutive pieces
-    of one stream.  One Philox serves the whole replica; every read first
-    resets its counter in _seek, the one writer of its state.  A law with
-    a single support point (a Constant) needs no draw, so its eta skips
-    the reset.
-
-    The realization also owns the replica's tree, grown one jump at a
-    time: ids in visit order with the root at 0, a parent list, and a
-    child dict keyed v * stride + slot as in _TreeTable.
+    collision would reuse random numbers, never merge vertices).  eta and
+    walk_block take that key and read Philox under the replica key with
+    counter (offset, frog, purpose, key): eta, one scalar law.draw with
+    purpose _PUR_ETA (const for a law with one support point, no draw),
+    and a frog's lifetime and jump uniforms with purpose _PUR_WALK, in
+    blocks of _BLOCK_PAIRS pairs that are consecutive pieces of one
+    stream.  Every read first resets the counter in _seek, the one writer
+    of the replica's Philox state.
     """
 
     def __init__(self, config: SimConfig, replica: int):
@@ -344,45 +341,24 @@ class _Realization:
         law = self.law = config.law
         top = law.support_max
         self.const = top if top is not None and law.pmf(top) == 1.0 else None
-        self.degs = (config.tree.d1 + 1, config.tree.d2 + 1)
-        self.stride = max(config.tree.d1, config.tree.d2) + 1
-        self.parent = [-1]
-        self.child = {}
-        self.rng_key = [0]
 
-    def _seek(self, vid: int, frog: int, purpose: int, offset: int) -> None:
+    def _seek(self, key: int, frog: int, purpose: int, offset: int) -> None:
         # the state setter copies the values, so one dict serves every reset
-        self._counter[:] = (offset, frog, purpose, self.rng_key[vid])
+        self._counter[:] = (offset, frog, purpose, key)
         self.gen.bit_generator.state = self._state
 
-    def eta(self, vid: int) -> int:
+    def eta(self, key: int) -> int:
         if self.const is not None:
             return self.const
-        self._seek(vid, 0, _PUR_ETA, 0)
+        self._seek(key, 0, _PUR_ETA, 0)
         return self.law.draw(self.gen)
 
-    def walk_block(self, vid: int, frog: int, block: int) -> list:
+    def walk_block(self, key: int, frog: int, block: int) -> list:
         """Uniforms of steps block * _BLOCK_PAIRS onward: the lifetime
         uniform of step i of the block at i, its jump uniform at
         _BLOCK_PAIRS + i."""
-        self._seek(vid, frog, _PUR_WALK, block * _BLOCK_STRIDE)
+        self._seek(key, frog, _PUR_WALK, block * (_BLOCK_PAIRS // 2))
         return self.gen.random(2 * _BLOCK_PAIRS).tolist()
-
-    def step(self, vid: int, odd: int, u: float) -> int:
-        """The vertex a jump with uniform u leads to from vid (parity odd)."""
-        deg = self.degs[odd]
-        slot = min(int(u * deg), deg - 1)
-        if vid and not slot:
-            return self.parent[vid]
-        key = vid * self.stride + slot
-        y = self.child.get(key)
-        if y is None:
-            y = len(self.parent)
-            _check_vertex_count(y + 1)
-            self.child[key] = y
-            self.parent.append(vid)
-            self.rng_key.append(_child_key(self.rng_key[vid], slot - (vid != 0)))
-        return y
 
 
 def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
@@ -396,53 +372,77 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     while its lifetime uniforms stay at or below the current level; the
     first one above it parks the walk on the heap under that uniform.
     Levels from p_max up are never resolved: p_hat is then +inf.
+
+    The pass grows the tree one jump at a time: ids in visit order with
+    the root at 0, a parent list, a child dict keyed v * stride + slot as
+    in _TreeTable, and each vertex's RNG key.  A vertex is new, and wakes,
+    exactly when its child-dict lookup misses.
     """
     real = _Realization(config, replica)
-    eta, walk_block, step = real.eta, real.walk_block, real.step
-    parent = real.parent
-    push = heapq.heappush
-    pairs, max_steps = _BLOCK_PAIRS, _MAX_WALK_STEPS
-    cap = config.awake_cap
+    eta, walk_block, const = real.eta, real.walk_block, real.const
+    t = config.tree
+    degs, stride = (t.d1 + 1, t.d2 + 1), max(t.d1, t.d2) + 1
+    parent, child, rng_key = [-1], {}, [0]
+    push, cap = heapq.heappush, config.awake_cap
+    pairs, max_steps, hard_cap = _BLOCK_PAIRS, _MAX_WALK_STEPS, ACTIVATED_HARD_CAP
     total = eta(0)
     if total == 0 or p_max <= 0.0:
         return math.inf, total >= 1
     if total > cap:
         return 0.0, True
-    # a walk: (home, frog, block, i, pos, odd, u), frog `frog` of `home` at pos
-    # (parity odd) before step i of block `block`, u that block or None
-    ready = [(0, f, 0, 0, 0, 0, None) for f in range(total)]
-    heap: list = []
-    level = 0.0
+    # a walk: (key, frog, block, i, pos, odd), frog `frog` of the vertex with
+    # RNG key `key`, at pos (parity odd) before step i of block `block`
+    ready = [(0, f, 0, 0, 0, 0) for f in range(total)]
+    heap, level = [], 0.0
     while True:
         while ready:
-            home, frog, block, i, pos, odd, u = ready.pop()
+            key, frog, block, i, pos, odd = ready.pop()
+            u = walk_block(key, frog, block)
+            stop = min(pairs, max_steps - block * pairs)
             while True:
-                if i == pairs:
-                    block, i, u = block + 1, 0, None
-                if u is None:
-                    u = walk_block(home, frog, block)
+                if i == stop:
+                    if i == pairs:
+                        block, i = block + 1, 0
+                        u = walk_block(key, frog, block)
+                        stop = min(pairs, max_steps - block * pairs)
+                    if i == stop and u[i] <= level:
+                        raise SimResourceError(
+                            f"a walk exceeded {max_steps} steps below p_max; lower p_max")
                 life = u[i]
                 if life > level:
                     # a parked walk is rarely resumed (about 10 resumes per
                     # replica at T(2,2), const:1, cap 2000), so it drops its
-                    # uniforms instead of holding them in memory
-                    # a tie on life is settled by (home, frog); p_hat ignores tie order
-                    push(heap, (life, (home, frog, block, i, pos, odd, None)))
+                    # uniforms; p_hat ignores the order of a tie on life
+                    push(heap, (life, (key, frog, block, i, pos, odd)))
                     break
-                if block * pairs + i >= max_steps:
-                    raise SimResourceError(
-                        f"a walk exceeded {max_steps} steps below p_max; lower p_max")
-                seen = len(parent)  # a vertex wakes as a walk adds it
-                pos = step(pos, odd, u[pairs + i])
+                # u <= 1 - 2**-53 rounds u * deg below deg for every deg < 2**53
+                slot = int(u[pairs + i] * degs[odd])
                 odd ^= 1
                 i += 1
-                if pos < seen:
+                if pos and not slot:
+                    pos = parent[pos]
                     continue
-                k = eta(pos)
+                edge = pos * stride + slot
+                y = child.get(edge)
+                if y is not None:
+                    pos = y
+                    continue
+                y = len(parent)
+                if y >= hard_cap:
+                    _check_vertex_count(y + 1)
+                child[edge] = y
+                parent.append(pos)
+                vkey = _child_key(rng_key[pos], slot - (pos != 0))
+                rng_key.append(vkey)
+                pos = y
+                k = const if const is not None else eta(vkey)
                 total += k
                 if total > cap:
                     return level, True
-                ready.extend([(pos, f, 0, 0, pos, odd, None) for f in range(k)])
+                if k == 1:
+                    ready.append((vkey, 0, 0, 0, pos, odd))
+                elif k:
+                    ready.extend([(vkey, f, 0, 0, pos, odd) for f in range(k)])
         # every walk is parked here: none ends, since lifetime uniforms are < 1
         level, walk = heapq.heappop(heap)
         if level >= p_max:

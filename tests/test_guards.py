@@ -24,7 +24,7 @@ from bifrog.hitting import hitting_pair, mc_hit_neighbor
 from bifrog.laws import Constant, Poisson
 from bifrog.pathprob import (PathOpenQuery, PathOpenTables, bernoulli_path_open,
                              mc_path_open)
-from bifrog.sim import gw_progeny_masses, mc_range_vs_disk
+from bifrog.sim import SimConfig, gw_progeny_masses, mc_range_vs_disk
 from bifrog.tree import TreeParams
 
 T23 = TreeParams(2, 3)
@@ -157,10 +157,19 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: bernoulli_path_open(0, 0.5, 0.3, 0.3),
     lambda: bernoulli_path_open(1, 0.0, 0.3, 0.3),
     lambda: PathOpenTables(Constant(1).pgf, 0.3, 0.3, k_max=8).same_11(5),
+    lambda: SimConfig(tree=T23, law=LAW, p=0.5, horizon=2.5),
+    lambda: SimConfig(tree=T23, law=LAW, p=0.5, awake_cap=2.5),
+    lambda: SimConfig(tree=T23, law=LAW, p=0.5, awake_cap=True),
+    lambda: SimConfig(tree=T23, law=LAW, p=0.5, seed=-1),
+    lambda: SimConfig(tree=T23, law=LAW, p=0.5, seed="1"),
+    lambda: SimConfig(tree=T23, law=LAW, p=0.5, replica_index=1.5),
+    lambda: SimConfig(tree=T23, law=LAW, p=0.5, replica_index=-1),
 ], ids=[
     "range-k0", "range-trials0", "range-type3", "hit-type0", "hit-trials0",
     "path-trials0", "gw-type3", "f_n-n0", "ub_root-tol0", "disk-big_d0",
     "bernoulli-n0", "bernoulli-q0", "tables-past-k_max",
+    "config-horizon-float", "config-cap-float", "config-cap-bool", "config-seed-negative",
+    "config-seed-str", "config-replica-float", "config-replica-negative",
 ])
 def test_input_checks_raise_value_error(call):
     with pytest.raises(ValueError):

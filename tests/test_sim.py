@@ -3,11 +3,12 @@
 Determinism is pinned at the outcome level (same seed, same result),
 run_frog outcomes and coupled thresholds are pinned bitwise for a grid of
 trees and laws, conservation of the awake population is checked through a
-frog-count law that records how often it was sampled, both tree stores are
-checked move by move against the tuple addresses of bifrog.tree, and the
-coupled threshold pass is matched bitwise against a per-p breadth-first
-search over the same realization, which reads its walks through the
-realization's own walk_block and step.
+frog-count law that records how often it was sampled, run_frog's tree
+stores are checked move by move against the tuple addresses of
+bifrog.tree, and the coupled threshold pass is matched bitwise against a
+per-p breadth-first search over the same random environment: the search
+walks tuple addresses through bifrog.tree.neighbors and derives each RNG
+key along the address, so it shares no tree code with the pass.
 """
 
 import dataclasses
@@ -40,7 +41,7 @@ from bifrog.sim import (
     sweep,
     wilson_interval,
 )
-from bifrog.tree import ROOT, TreeParams, degree, neighbors, parent, parity
+from bifrog.tree import ROOT, TreeParams, degree, neighbors, parent
 
 T22 = TreeParams(2, 2)
 T23 = TreeParams(2, 3)
@@ -121,6 +122,15 @@ def test_run_validates_config():
         run_frog(SimConfig(tree=T22, law=Constant(1), p=0.5, horizon=0))
     with pytest.raises(ValueError):
         run_frog(SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=0))
+
+
+def test_config_takes_numpy_integers():
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.8, horizon=50, awake_cap=200,
+                    seed=3, replica_index=2)
+    as_numpy = SimConfig(tree=T22, law=Constant(1), p=0.8, horizon=np.int32(50),
+                         awake_cap=np.int64(200), seed=np.uint64(3),
+                         replica_index=np.int16(2))
+    assert run_frog(as_numpy) == run_frog(cfg)
 
 
 def test_hard_cap_raises_resource_error(monkeypatch):
@@ -403,33 +413,6 @@ def test_tree_table_moves_match_the_address_oracle(tree, jumps):
         assert none.size == 0
 
 
-@pytest.mark.parametrize("tree", [T23, T3_100])
-@given(jumps=_JUMPS)
-@settings(max_examples=60, deadline=None)
-def test_realization_steps_match_the_address_oracle(tree, jumps):
-    real = sim._Realization(SimConfig(tree=tree, law=Constant(1), p=0.5, seed=49), 0)
-    ids, addrs = {ROOT: 0}, {0: ROOT}
-    walkers = [(0, 0)] * len(jumps[0])
-    for us in jumps:
-        moved = []
-        for (v, odd), u in zip(walkers, us):
-            deg = degree(tree, addrs[v])
-            assert real.degs[odd] == deg
-            assert odd == (parity(addrs[v]) == 2)
-            want = neighbors(tree, addrs[v])[min(int(u * deg), deg - 1)]
-            n = len(real.parent)
-            y = real.step(v, odd, u)
-            assert y == (ids[want] if want in ids else n)
-            _bind(ids, addrs, y, want)
-            assert real.parent[y] == (ids[parent(want)] if want else -1)
-            key = 0
-            for c in want:
-                key = sim._child_key(key, c)
-            assert real.rng_key[y] == key
-            moved.append((y, odd ^ 1))
-        walkers = moved
-
-
 def test_realization_hard_cap_raises_resource_error(monkeypatch):
     monkeypatch.setattr(sim, "ACTIVATED_HARD_CAP", 50)
     cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=10**6, seed=50)
@@ -520,63 +503,72 @@ def test_coupled_sweep_certain_survival_at_p_one():
     assert rows[0].fraction == 0.0
 
 
-class _MemoRealization(sim._Realization):
-    """The same random numbers, memoized so one realization serves many p."""
+class _AddressRealization:
+    """The pass's random environment read by tuple address: a vertex's RNG
+    key is _child_key folded along its address, and keys, etas and walk
+    blocks are memoized, so one realization serves many p."""
 
     def __init__(self, config, replica):
-        super().__init__(config, replica)
-        self._eta, self._blocks = {}, {}
+        self.tree = config.tree
+        self.real = sim._Realization(config, replica)
+        self._keys, self._eta, self._blocks = {ROOT: 0}, {}, {}
 
-    def eta(self, vid):
-        if vid not in self._eta:
-            self._eta[vid] = super().eta(vid)
-        return self._eta[vid]
+    def key(self, addr):
+        key = self._keys.get(addr)
+        if key is None:
+            key = self._keys[addr] = sim._child_key(self.key(addr[:-1]), addr[-1])
+        return key
 
-    def walk_block(self, vid, frog, block):
-        k = (vid, frog, block)
+    def eta(self, addr):
+        key = self.key(addr)
+        if key not in self._eta:
+            self._eta[key] = self.real.eta(key)
+        return self._eta[key]
+
+    def walk_block(self, key, frog, block):
+        k = (key, frog, block)
         if k not in self._blocks:
-            self._blocks[k] = super().walk_block(vid, frog, block)
+            self._blocks[k] = self.real.walk_block(*k)
         return self._blocks[k]
 
 
-def _walk(real, home, frog, odd, p):
-    """(vertex, parity) after each step that frog `frog` woken at home
-    takes at p: step s is taken while its lifetime uniforms L_0..L_s are
-    all below p."""
-    pos, s = home, 0
+def _walk(real, home, frog, p):
+    """Addresses after each step that frog `frog` woken at home takes at
+    p: step s is taken while its lifetime uniforms L_0..L_s are all below p."""
+    key, pos, s = real.key(home), home, 0
     while True:
         block, i = divmod(s, sim._BLOCK_PAIRS)
-        u = real.walk_block(home, frog, block)
+        u = real.walk_block(key, frog, block)
         if u[i] >= p:
             return
-        pos = real.step(pos, odd, u[sim._BLOCK_PAIRS + i])
-        odd ^= 1
+        deg = degree(real.tree, pos)
+        pos = neighbors(real.tree, pos)[min(int(u[sim._BLOCK_PAIRS + i] * deg), deg - 1)]
         s += 1
-        yield pos, odd
+        yield pos
 
 
 def _bfs_survives(real, p, cap):
     """Per-p oracle: breadth-first activation cluster of the root, where a
     frog steps while its lifetime uniforms are below p."""
     if p >= 1.0:
-        return real.eta(0) >= 1
+        return real.eta(ROOT) >= 1
     if p <= 0.0:
         return False
-    total = real.eta(0)
+    total = real.eta(ROOT)
     if total > cap:
         return True
-    awake = {0}
-    queue = deque([(0, 0)])
+    awake = {ROOT}
+    queue = deque([ROOT])
     while queue:
-        v, odd = queue.popleft()
+        v = queue.popleft()
         for frog in range(real.eta(v)):
-            for y, y_odd in _walk(real, v, frog, odd, p):
+            for y in _walk(real, v, frog, p):
                 if y not in awake:
                     awake.add(y)
                     total += real.eta(y)
                     if total > cap:
                         return True
-                    queue.append((y, y_odd))
+                    queue.append(y)
     return False
 
 
@@ -588,6 +580,8 @@ _ORACLE_GRID = [round(0.5 + 0.05 * i, 2) for i in range(10)]
     (T23, Poisson(1.0), 42),
     (T22, Bernoulli(0.6), 43),
     (T22, Geometric(0.5), 51),
+    # a child dict far wider than the degrees
+    (T3_100, Constant(1), 53),
 ])
 def test_threshold_pass_matches_per_p_bfs(tree, law, seed):
     cfg = SimConfig(tree=tree, law=law, p=0.5, awake_cap=300, seed=seed)
@@ -595,11 +589,11 @@ def test_threshold_pass_matches_per_p_bfs(tree, law, seed):
     th = coupled_thresholds(cfg, max(_ORACLE_GRID), replicas)
     empty_roots = 0
     for r in range(replicas):
-        real = _MemoRealization(cfg, r)
+        real = _AddressRealization(cfg, r)
         got = [th.p_hat[r] < p for p in _ORACLE_GRID]
         want = [_bfs_survives(real, p, cfg.awake_cap) for p in _ORACLE_GRID]
         assert got == want, f"replica {r}: p_hat={th.p_hat[r]}"
-        assert th.root_awake[r] == (real.eta(0) >= 1)
+        assert th.root_awake[r] == (real.eta(ROOT) >= 1)
         empty_roots += not th.root_awake[r]
     # both outcomes occur on the grid, and laws with mass at 0 empty some roots
     assert 0 < sum(x < max(_ORACLE_GRID) for x in th.p_hat) < replicas
@@ -700,22 +694,47 @@ def test_walk_blocks_are_one_philox_stream():
         assert real.walk_block(0, frog, block) == stream[lo:lo + 2 * sim._BLOCK_PAIRS]
 
 
-def test_rng_keys_follow_the_tree_not_the_visit_order():
-    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, seed=46)
-    a, b = sim._Realization(cfg, 0), sim._Realization(cfg, 0)
-    # a visits child 0 then child 1 of the root; b the other way round
-    a1, a2 = a.step(0, 0, 0.1), a.step(0, 0, 0.5)
-    b2, b1 = b.step(0, 0, 0.5), b.step(0, 0, 0.1)
-    assert (a1, a2) == (b2, b1) == (1, 2)
-    assert a.rng_key[a1] == b.rng_key[b1] != a.rng_key[a2] == b.rng_key[b2]
-    assert a.walk_block(a1, 0, 0) == b.walk_block(b1, 0, 0)
-
-
 def test_long_walk_raises_resource_error(monkeypatch):
     monkeypatch.setattr(sim, "_MAX_WALK_STEPS", 3)
     cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=10**6, seed=47)
     with pytest.raises(SimResourceError):
         coupled_thresholds(cfg, 0.95, 5)
+
+
+@pytest.mark.parametrize("replica,steps", [(0, 22), (1, 34), (2, 22), (3, 31), (4, 17)])
+def test_walk_step_guard_boundary_is_pinned(monkeypatch, replica, steps):
+    # the least step bound each pass completes under, recorded before the
+    # pass owned its tree; replica 1's longest walk crosses a 32-step block
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=300, seed=47,
+                    replica_index=replica)
+    monkeypatch.setattr(sim, "_MAX_WALK_STEPS", steps)
+    coupled_thresholds(cfg, 0.95, 1)
+    monkeypatch.setattr(sim, "_MAX_WALK_STEPS", steps - 1)
+    with pytest.raises(SimResourceError, match=f"^a walk exceeded {steps - 1} steps "
+                                               "below p_max; lower p_max$"):
+        coupled_thresholds(cfg, 0.95, 1)
+
+
+def test_jump_slots_need_no_clamp():
+    # Generator.random is at most 1 - 2**-53, which times any degree rounds
+    # below it, so the pass takes int(u * deg) without min(..., deg - 1);
+    # 10_001 is the T(4,10000) degree
+    top = np.nextafter(1.0, 0.0)
+    assert top == 1.0 - 2.0 ** -53
+    degs = np.append(np.arange(1, 2 ** 20 + 1, dtype=np.float64), 10_001.0)
+    assert np.all(top * degs < degs)
+
+
+def test_sweep_coupled_realization_is_pinned():
+    # the realization of the README sweep and of the sweep-coupled benchmark
+    # workload, recorded before the pass owned its tree; its walks are
+    # longer than those of the cap-300 pins
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=2000, seed=1)
+    th = coupled_thresholds(cfg, 0.95, 8)
+    assert th.p_hat == (0.9001371650302877, 0.7364343498835416, 0.6856186250334713,
+                        INF, 0.675123072711992, 0.7205840725724337,
+                        0.7521788273881246, 0.710334564941243)
+    assert th.root_awake == (True,) * 8
 
 
 def test_coupled_thresholds_api():
