@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .hitting import _check_p, hitting_pair
 from .laws import Constant, InitLaw, describe_law
-from .tree import TreeParams
+from .tree import TreeParams, _check_int
 
 #: four-decimal reference values (lb_alves, lb_biregular, ub_root) per row
 #: of the standard reference grid, all with eta == 1
@@ -80,8 +80,7 @@ def lb_biregular(t: TreeParams, mean_eta: float) -> float:
 
 def lb_alves(big_d: int, mean_eta: float) -> float:
     """Single-type lower bound using only the maximum degree big_d + 1."""
-    if not isinstance(big_d, int) or big_d < 2:
-        raise ValueError(f"max branching number must be an integer >= 2, got {big_d!r}")
+    big_d = _check_int("max branching number big_d", big_d, 2, math.inf)
     e = _check_mean(mean_eta)
     return (big_d + 1) / (big_d * (e + 1) + 1)
 
@@ -111,8 +110,7 @@ def f_n_value(t: TreeParams, q: float, n: int, p: float) -> float:
     its n-th root does, so the root is taken on logarithms.
     """
     q = _check_q(q)
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = _check_int("n", n, 1, math.inf)
     p = _check_p(p)
     if p == 0.0:
         return -1.0 / (t.d1 * t.d2)
@@ -197,8 +195,7 @@ def disk_mean_offspring(law: InitLaw, big_d: int, p: float,
     k >= 1, where P[ball radius >= k] = sum_i rho_i (1 - (1 - p^k)^i).
     Requires big_d * p < 1, otherwise the series diverges.
     """
-    if not isinstance(big_d, int) or big_d < 1:
-        raise ValueError(f"big_d must be an integer >= 1, got {big_d!r}")
+    big_d = _check_int("big_d", big_d, 1, math.inf)
     p = _check_p(p)
     if big_d * p >= 1.0:
         raise ValueError(f"series needs p < 1/big_d = {1 / big_d:.6g}, got p = {p:g}")

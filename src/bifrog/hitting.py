@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .laws import InitLaw
-from .tree import TreeParams
+from .tree import TreeParams, _check_int
 
 
 class HittingPair(NamedTuple):
@@ -80,10 +80,8 @@ def edge_exponents(i: int, j: int, k: int) -> tuple:
     A geodesic of length k from a type-i to a type-j vertex alternates
     vertex types, so i == j forces k even and i != j forces k odd.
     """
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError(f"vertex types must be 1 or 2, got ({i}, {j})")
-    if k < 1:
-        raise ValueError(f"path length k must be >= 1, got {k}")
+    i, j = (_check_int("vertex type", v, 1, 2) for v in (i, j))
+    k = _check_int("path length k", k, 1, math.inf)
     if (i == j) != (k % 2 == 0):
         raise ValueError(f"no geodesic of length {k} joins type {i} to type {j}")
     n = (k + 1) // 2
@@ -103,7 +101,8 @@ def edge_open_prob(t: TreeParams, law: InitLaw, p: float, i: int, j: int, k: int
 
 
 def _stream(*words: int) -> np.random.Generator:
-    """The Philox stream keyed by words (a seed, a replica, a tag)."""
+    """The Philox stream keyed by words (a seed, a replica, a tag), all >= 0."""
+    words = tuple(_check_int("seed", w, 0, math.inf) for w in words)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
 
 
@@ -114,11 +113,6 @@ class McEstimate:
     prob: float
     stderr: float
     trials: int
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
 
 def _mc_estimate(hits: int, trials: int) -> McEstimate:
@@ -183,9 +177,8 @@ def mc_hit_neighbor(t: TreeParams, p: float, start_type: int, trials: int,
     there).
     """
     p = _check_p(p)
-    if start_type not in (1, 2):
-        raise ValueError(f"start_type must be 1 or 2, got {start_type}")
-    _check_trials(trials)
+    start_type = _check_int("start_type", start_type, 1, 2)
+    trials = _check_int("trials", trials, 1, math.inf)
     # the neighbor has the other type: parity start_type - 1 + 1
     hit, _ = _distance_chain(_stream(seed, 0x48495421), t, p,
                              np.ones(trials, dtype=np.int64), start_type,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tree import _check_int
+
 
 class InitLaw:
     """Base class for per-vertex frog-count distributions."""
@@ -59,8 +61,7 @@ class Constant(InitLaw):
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"Constant law needs an integer k >= 1, got {self.k!r}")
+        object.__setattr__(self, "k", _check_int("Constant law's k", self.k, 1, math.inf))
         object.__setattr__(self, "support_max", self.k)
 
     def pgf(self, s):

@@ -23,14 +23,15 @@ structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hitting import (McEstimate, _auto_escape_radius, _check_p, _check_trials,
-                      _mc_estimate, _stream, edge_exponents, hitting_pair)
+from .hitting import (McEstimate, _auto_escape_radius, _check_p, _mc_estimate, _stream,
+                      edge_exponents, hitting_pair)
 from .laws import InitLaw
-from .tree import TreeParams
+from .tree import TreeParams, _check_int
 
 K_MAX_DEFAULT = 64
 
@@ -69,7 +70,7 @@ class PathOpenTables:
         self.pgf = pgf
         self.a = float(a)
         self.b = float(b)
-        self.k_max = int(k_max)
+        self.k_max = _check_int("k_max", k_max, 1, math.inf)
         self.n_max = (self.k_max + 1) // 2
         # per orientation, 1-indexed; the kernel coefficients are
         # c1[o][l] = phi(1 - x^{l+1} y^l) - phi(1 - x^l y^l)
@@ -121,8 +122,7 @@ def path_open_prob(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float) 
 
 def bernoulli_path_open(n: int, q: float, a: float, b: float) -> float:
     """Closed form of same_11(n) when the frog count is Bernoulli(q)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_int("n", n, 1, math.inf)
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must lie in (0, 1], got {q}")
     return q * (a * b * (1.0 + q * (1.0 - b))) ** n * (1.0 + q * (1.0 - a)) ** (n - 1)
@@ -142,7 +142,7 @@ def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
     the distance-chain oracles.
     """
     p = _check_p(p)
-    _check_trials(trials)
+    trials = _check_int("trials", trials, 1, math.inf)
     k = query.k
     radius = _auto_escape_radius(p)
 
@@ -168,7 +168,8 @@ def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
         trial, owner, pos, off, deg = trial[alive], owner[alive], pos[alive], off[alive], deg[alive]
         if not pos.size:
             break
-        slot = np.minimum(np.floor(rng.random(pos.size) * deg).astype(np.int64), deg - 1)
+        # u * deg rounds below deg for u <= 1 - 2**-53, so truncation needs no clamp
+        slot = (rng.random(pos.size) * deg).astype(np.int64)
         on_path = off == 0
         # on the path: slot 0 steps toward x_0 (off the segment when pos=0),
         # slot 1 toward x_k (off when pos=k); any other slot leaves the path

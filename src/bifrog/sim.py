@@ -44,10 +44,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hitting import (_auto_escape_radius, _check_p, _check_trials, _distance_chain,
-                      _mc_estimate, _stream, edge_open_prob)
+from .hitting import (_auto_escape_radius, _check_p, _distance_chain, _mc_estimate, _stream,
+                      edge_open_prob)
 from .laws import InitLaw
-from .tree import TreeParams
+from .tree import TreeParams, _check_int
 
 DENSE_CHILD_LIMIT = 64
 ACTIVATED_HARD_CAP = 10 ** 7
@@ -100,7 +100,7 @@ class _TreeTable:
 
     def __init__(self, t: TreeParams):
         self.dense = max(t.d1 + 1, t.d2) <= DENSE_CHILD_LIMIT
-        self.stride = max(t.d1, t.d2) + 1
+        self.stride = t.stride
         top = np.iinfo(_VID).max
         if ACTIVATED_HARD_CAP > top or (
                 self.dense and DENSE_TABLE_BYTES // _VID.itemsize > top + 1):
@@ -192,12 +192,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_p(self.p))
-        # an integer is what operator.index takes (numpy ints too), bar a bool
-        for name, low in (("horizon", 1), ("awake_cap", 1), ("seed", 0),
-                          ("replica_index", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__") or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, low in (("horizon", 1), ("awake_cap", 1), ("seed", 0), ("replica_index", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low, math.inf))
 
 
 @dataclass(frozen=True)
@@ -291,8 +287,7 @@ def estimate_survival(config: SimConfig, replicas: int) -> SurvivalEstimate:
 
     Replica r uses the substream keyed (seed, replica_index + r).
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    replicas = _check_int("replicas", replicas, 1, math.inf)
     base = config.replica_index
     s = sum(run_frog(replace(config, replica_index=r)).survived
             for r in range(base, base + replicas))
@@ -381,7 +376,7 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     real = _Realization(config, replica)
     eta, walk_block, const = real.eta, real.walk_block, real.const
     t = config.tree
-    degs, stride = (t.d1 + 1, t.d2 + 1), max(t.d1, t.d2) + 1
+    degs, stride = (t.d1 + 1, t.d2 + 1), t.stride
     parent, child, rng_key = [-1], {}, [0]
     push, cap = heapq.heappush, config.awake_cap
     pairs, max_steps, hard_cap = _BLOCK_PAIRS, _MAX_WALK_STEPS, ACTIVATED_HARD_CAP
@@ -503,8 +498,7 @@ def coupled_thresholds(config: SimConfig, p_max: float,
     resolved on [0, p_max); config.p and config.horizon are not used."""
     if not 0.0 <= p_max < 1.0:
         raise ValueError(f"p_max must lie in [0, 1), got {p_max}")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    replicas = _check_int("replicas", replicas, 1, math.inf)
     base = config.replica_index
     per_replica = [_replica_threshold(config, p_max, r)
                    for r in range(base, base + replicas)]
@@ -537,6 +531,8 @@ def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False) -> 
 
 #: largest progeny count gw_progeny_masses tabulates for a law of unbounded support
 _PROGENY_K_CAP = 256
+#: run_multitype_gw reports survival past this many generations or particles at once
+_GW_MAX_GENERATIONS, _GW_POPULATION_CAP = 10_000, 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -563,10 +559,8 @@ def _progeny_total(rng: np.random.Generator, n: int, p: float, d: int,
     return total
 
 
-def run_multitype_gw(t: TreeParams, law: InitLaw, p: float,
-                     max_generations: int = 10_000, seed: int = 0,
-                     replica_index: int = 0,
-                     population_cap: int = 10 ** 7) -> GwOutcome:
+def run_multitype_gw(t: TreeParams, law: InitLaw, p: float, seed: int = 0,
+                     replica_index: int = 0) -> GwOutcome:
     """Two-type branching process that dominates the early frog cloud.
 
     Generation 0 holds no type-1 particles and the sum of d1 + 2 draws of
@@ -580,14 +574,14 @@ def run_multitype_gw(t: TreeParams, law: InitLaw, p: float,
     trace = [(n1, n2)]
     if n2 == 0:
         return GwOutcome(extinct=True, at_generation=0, population_trace=trace)
-    for gen in range(1, max_generations + 1):
+    for gen in range(1, _GW_MAX_GENERATIONS + 1):
         new2 = _progeny_total(rng, n1, p, t.d1, law)
         new1 = _progeny_total(rng, n2, p, t.d2, law)
         n1, n2 = new1, new2
         trace.append((n1, n2))
         if n1 + n2 == 0:
             return GwOutcome(extinct=True, at_generation=gen, population_trace=trace)
-        if n1 + n2 > population_cap:
+        if n1 + n2 > _GW_POPULATION_CAP:
             return GwOutcome(extinct=False, at_generation=None, population_trace=trace)
     return GwOutcome(extinct=False, at_generation=None, population_trace=trace)
 
@@ -603,8 +597,7 @@ def gw_progeny_masses(t: TreeParams, law: InitLaw, p: float,
     for type-2.
     """
     p = _check_p(p)
-    if parent_type not in (1, 2):
-        raise ValueError(f"parent_type must be 1 or 2, got {parent_type}")
+    parent_type = _check_int("parent_type", parent_type, 1, 2)
     d = t.d1 if parent_type == 1 else t.d2
     k_cap = law.support_max + 1 if law.support_max is not None else _PROGENY_K_CAP
     m = np.zeros(k_cap + 1)
@@ -638,11 +631,9 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
     against edge_open_prob.
     """
     p = _check_p(p)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_trials(trials)
-    if start_type not in (1, 2):
-        raise ValueError(f"start_type must be 1 or 2, got {start_type}")
+    k = _check_int("k", k, 1, math.inf)
+    trials = _check_int("trials", trials, 1, math.inf)
+    start_type = _check_int("start_type", start_type, 1, 2)
     rng = _stream(seed, 0x52414E47)
     counts = law.sample(rng, trials)
     trial_idx = np.repeat(np.arange(trials, dtype=np.int64), counts)

@@ -10,16 +10,28 @@ The simulator keeps its own integer-id tree stores; the address helpers
 here are the independent oracle the tests check all three of them
 against.  neighbors(t, addr)[slot] is the neighbor the stores reach
 through slot, and a store keys that edge v * stride + slot, with v the
-id of addr and stride max(d1, d2) + 1.
+id of addr and stride TreeParams.stride, max(d1, d2) + 1.
+
+_check_int is the package's one integer rule: an integer is what
+operator.index takes (numpy ints too), bar a bool, within given bounds.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 VertexAddr = tuple
 
 ROOT: VertexAddr = ()
+
+
+def _check_int(name: str, value, low: int, high: float) -> int:
+    """value as a Python int; ValueError unless it is an integer in [low, high]."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -28,13 +40,17 @@ class TreeParams:
     d2: int
 
     def __post_init__(self):
-        for name, d in (("d1", self.d1), ("d2", self.d2)):
-            if not isinstance(d, int) or d < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {d!r}")
+        for name in ("d1", "d2"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1, math.inf))
 
     @property
     def kappa(self) -> int:
         return (self.d1 + 1) * (self.d2 + 1)
+
+    @property
+    def stride(self) -> int:
+        """Edge-key stride of the tree stores: every neighbor slot is below it."""
+        return max(self.d1, self.d2) + 1
 
 
 def parity(addr: VertexAddr) -> int:

@@ -7,31 +7,38 @@ home, _Realization._seek, which reuses a single state dict, so nothing
 else in the package may assign a bit generator's state.  Random streams
 have one constructor, hitting._stream, so nothing else in the package
 builds a Philox or a SeedSequence: the coupled realization takes its
-stream from _stream too and reads the key back for _seek.
+stream from _stream too and reads the key back for _seek.  Integer
+inputs have one rule, tree._check_int, so nothing else in the package
+tests isinstance(_, int) or names __index__ or operator.index.
 The count of settable values is pinned, so a change that adds or removes
 one must update SETTABLE_VALUES and say why.
 """
 
 import ast
+import json
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import bifrog
-from bifrog.bounds import disk_mean_offspring, f_n_value, ub_root
+from bifrog.bounds import bounds_report, disk_mean_offspring, f_n_value, lb_alves, ub_root
 from bifrog.hitting import hitting_pair, mc_hit_neighbor
 from bifrog.laws import Constant, Poisson
 from bifrog.pathprob import (PathOpenQuery, PathOpenTables, bernoulli_path_open,
                              mc_path_open)
-from bifrog.sim import SimConfig, gw_progeny_masses, mc_range_vs_disk
+from bifrog.sim import (SimConfig, coupled_thresholds, estimate_survival, gw_progeny_masses,
+                        mc_range_vs_disk)
 from bifrog.tree import TreeParams
 
 T23 = TreeParams(2, 3)
 LAW = Poisson(1.0)
+CFG = SimConfig(tree=T23, law=LAW, p=0.5)
 #: defaulted parameters, **kwargs, defaulted dataclass fields and
 #: add_argument call sites over the package's modules
-SETTABLE_VALUES = 40
+SETTABLE_VALUES = 38
 
 
 def _package_sources():
@@ -104,6 +111,31 @@ def test_only_the_stream_helper_builds_a_stream():
     assert found == ["hitting.py:_stream"] * 2
 
 
+def _tests_for_an_integer(node):
+    """isinstance(_, int), isinstance(_, (..., int, ...)), or any mention of
+    __index__ or operator.index."""
+    if isinstance(node, ast.Call) and _name(node.func) == "isinstance" and len(node.args) == 2:
+        kinds = node.args[1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(_name(k) == "int" for k in kinds)
+    if isinstance(node, ast.Attribute) and node.attr == "index":
+        return _name(node.value) == "operator"
+    return _name(node) == "__index__" or (isinstance(node, ast.Constant)
+                                           and node.value == "__index__")
+
+
+def test_only_check_int_tests_for_an_integer():
+    probe = ast.parse("import operator\n"
+                      "def f(x):\n    return isinstance(x, int) or isinstance(x, (str, int))\n"
+                      "class A:\n    def g(self, x):\n        return hasattr(x, '__index__')\n"
+                      "    def h(self, x):\n        return x.__index__() + operator.index(x)\n")
+    assert _sites(probe, _tests_for_an_integer) == ["f", "f", "A.g", "A.h", "A.h"]
+    found = [f"{name}:{where}" for name, tree in _package_sources()
+             for where in _sites(tree, _tests_for_an_integer)]
+    # its hasattr(value, "__index__") and its operator.index
+    assert found == ["tree.py:_check_int"] * 2
+
+
 def _is_dataclass(node):
     return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
                for d in node.decorator_list)
@@ -164,13 +196,38 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: SimConfig(tree=T23, law=LAW, p=0.5, seed="1"),
     lambda: SimConfig(tree=T23, law=LAW, p=0.5, replica_index=1.5),
     lambda: SimConfig(tree=T23, law=LAW, p=0.5, replica_index=-1),
+    lambda: TreeParams(True, 2),
+    lambda: Constant(True),
+    lambda: bernoulli_path_open(2.5, 0.5, 0.3, 0.3),
+    lambda: PathOpenTables(Constant(1).pgf, 0.3, 0.3, k_max=2.5),
+    lambda: estimate_survival(CFG, True),
+    lambda: estimate_survival(CFG, 2.5),
+    lambda: coupled_thresholds(CFG, 0.9, 2.5),
+    lambda: PathOpenQuery(1, 2, True),
+    lambda: PathOpenQuery(1, 2, 3.0),
+    lambda: mc_hit_neighbor(T23, 0.5, 1, 2.5),
+    lambda: mc_hit_neighbor(T23, 0.5, 1, 10, seed=2.5),
 ], ids=[
     "range-k0", "range-trials0", "range-type3", "hit-type0", "hit-trials0",
     "path-trials0", "gw-type3", "f_n-n0", "ub_root-tol0", "disk-big_d0",
     "bernoulli-n0", "bernoulli-q0", "tables-past-k_max",
     "config-horizon-float", "config-cap-float", "config-cap-bool", "config-seed-negative",
     "config-seed-str", "config-replica-float", "config-replica-negative",
+    "tree-d1-bool", "constant-bool", "bernoulli-n-float", "tables-k_max-float",
+    "survival-replicas-bool", "survival-replicas-float", "coupled-replicas-float",
+    "query-k-bool", "query-k-float", "hit-trials-float", "hit-seed-float",
 ])
 def test_input_checks_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_numpy_integers_are_taken_and_stored_as_int():
+    t = TreeParams(np.int64(2), np.int64(3))
+    assert t == TreeParams(2, 3)
+    assert type(t.d1) is int and type(t.d2) is int
+    law = Constant(np.int64(2))
+    assert law == Constant(2) and type(law.k) is int and type(law.support_max) is int
+    assert lb_alves(np.int64(3), 1.0) == lb_alves(3, 1.0)
+    assert f_n_value(T23, 1.0, np.int64(3), 0.5) == f_n_value(T23, 1.0, 3, 0.5)
+    json.dumps(asdict(bounds_report(TreeParams(np.int64(2), 2), Constant(1))))

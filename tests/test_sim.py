@@ -717,7 +717,8 @@ def test_walk_step_guard_boundary_is_pinned(monkeypatch, replica, steps):
 
 def test_jump_slots_need_no_clamp():
     # Generator.random is at most 1 - 2**-53, which times any degree rounds
-    # below it, so the pass takes int(u * deg) without min(..., deg - 1);
+    # below it, so the pass takes int(u * deg) without min(..., deg - 1),
+    # and pathprob.mc_path_open truncates u * deg to int64 without a clamp;
     # 10_001 is the T(4,10000) degree
     top = np.nextafter(1.0, 0.0)
     assert top == 1.0 - 2.0 ** -53
@@ -844,11 +845,12 @@ def test_gw_subcritical_always_dies():
         assert out.extinct
 
 
-def test_gw_supercritical_often_survives():
+def test_gw_supercritical_often_survives(monkeypatch):
+    monkeypatch.setattr(sim, "_GW_MAX_GENERATIONS", 400)
+    monkeypatch.setattr(sim, "_GW_POPULATION_CAP", 50_000)
     hits = 0
     for r in range(60):
-        out = run_multitype_gw(T22, Constant(1), 0.95, seed=15, replica_index=r,
-                               max_generations=400, population_cap=50_000)
+        out = run_multitype_gw(T22, Constant(1), 0.95, seed=15, replica_index=r)
         hits += not out.extinct
     assert hits > 20
 
