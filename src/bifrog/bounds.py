@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .hitting import _check_p, hitting_pair
 from .laws import Constant, InitLaw, describe_law
-from .tree import TreeParams, _check_int
+from .tree import TreeParams, _check_int, _check_real
 
 #: four-decimal reference values (lb_alves, lb_biregular, ub_root) per row
 #: of the standard reference grid, all with eta == 1
@@ -44,6 +44,8 @@ TABLE_ROWS = tuple(TABLE_REFERENCE)
 ROOT_TOL = 1e-12
 #: bisection bracket on (0, 1) and its iteration cap
 _BRACKET, _MAX_BISECT = (1e-9, 1.0 - 1e-9), 200
+#: disk_mean_offspring sums shells k <= _DISK_K_MAX and frog counts i <= _DISK_I_MAX
+_DISK_K_MAX, _DISK_I_MAX = 400, 256
 
 
 class NoRootError(ValueError):
@@ -51,17 +53,7 @@ class NoRootError(ValueError):
 
 
 def _check_q(q: float) -> float:
-    q = float(q)
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"activation probability q must lie in (0, 1], got {q!r}")
-    return q
-
-
-def _check_mean(mean_eta: float) -> float:
-    mean_eta = float(mean_eta)
-    if not mean_eta > 0.0:
-        raise ValueError(f"mean frog count must be positive, got {mean_eta!r}")
-    return mean_eta
+    return _check_real("activation probability q", q, 0, 1, "(]")
 
 
 def _check_not_11(t: TreeParams) -> None:
@@ -72,7 +64,7 @@ def _check_not_11(t: TreeParams) -> None:
 def lb_biregular(t: TreeParams, mean_eta: float) -> float:
     """Lower bound on p_c from the two-type first-moment matrix."""
     _check_not_11(t)
-    e = _check_mean(mean_eta)
+    e = _check_real("mean frog count", mean_eta, 0, math.inf, "()")
     d1, d2 = t.d1, t.d2
     return math.sqrt((d1 + 1) * (d2 + 1) /
                      ((d1 * (e + 1) + 1) * (d2 * (e + 1) + 1)))
@@ -81,7 +73,7 @@ def lb_biregular(t: TreeParams, mean_eta: float) -> float:
 def lb_alves(big_d: int, mean_eta: float) -> float:
     """Single-type lower bound using only the maximum degree big_d + 1."""
     big_d = _check_int("max branching number big_d", big_d, 2, math.inf)
-    e = _check_mean(mean_eta)
+    e = _check_real("mean frog count", mean_eta, 0, math.inf, "()")
     return (big_d + 1) / (big_d * (e + 1) + 1)
 
 
@@ -90,7 +82,7 @@ def spectral_radius(t: TreeParams, mean_eta: float, p: float) -> float:
     sqrt(m12 m21) of the anti-diagonal two-type mean matrix; equals 1 at
     lb_biregular."""
     p = _check_p(p)
-    e = _check_mean(mean_eta)
+    e = _check_real("mean frog count", mean_eta, 0, math.inf, "()")
     m12 = p * (1.0 + t.d1 * (e + 1.0)) / (t.d1 + 1)
     m21 = p * (1.0 + t.d2 * (e + 1.0)) / (t.d2 + 1)
     return math.sqrt(m12 * m21)
@@ -128,8 +120,6 @@ class RootResult:
 
 
 def _bisect_increasing(f, tol: float, what: str) -> RootResult:
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol!r}")
     lo, hi = _BRACKET
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi):
@@ -150,6 +140,7 @@ def ub_root(t: TreeParams, q: float = 1.0, tol: float = ROOT_TOL) -> RootResult:
     """Upper bound on p_c: the root of f(t, q, .) in (0, 1)."""
     _check_not_11(t)
     q = _check_q(q)
+    tol = _check_real("tol", tol, 0, 1, "()")
     return _bisect_increasing(lambda p: f_value(t, q, p), tol, what="f")
 
 
@@ -187,8 +178,7 @@ class DiskSeries:
     i_terms: int
 
 
-def disk_mean_offspring(law: InitLaw, big_d: int, p: float,
-                        k_max: int = 400, i_max: int = 256) -> DiskSeries:
+def disk_mean_offspring(law: InitLaw, big_d: int, p: float) -> DiskSeries:
     """Mean number of vertices whose lifetime-ball covers a fixed vertex.
 
     The series sums (big_d+1) big_d^{k-1} P[ball radius >= k] over shells
@@ -199,14 +189,13 @@ def disk_mean_offspring(law: InitLaw, big_d: int, p: float,
     p = _check_p(p)
     if big_d * p >= 1.0:
         raise ValueError(f"series needs p < 1/big_d = {1 / big_d:.6g}, got p = {p:g}")
-    if law.support_max is not None:
-        i_max = min(i_max, law.support_max)
+    i_max = min(_DISK_I_MAX, law.support_max or _DISK_I_MAX)
     masses = [law.pmf(i) for i in range(1, i_max + 1)]
 
     total = 0.0
     shell = float(big_d + 1)
     k_done = 0
-    for k in range(1, k_max + 1):
+    for k in range(1, _DISK_K_MAX + 1):
         pk = p ** k
         if pk == 0.0:
             break

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, bounds, checks, sim
 from .laws import parse_law
-from .tree import TreeParams
+from .tree import TreeParams, _check_real
 
 SCHEMA_VERSION = 1
 
@@ -105,6 +105,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    tol = _check_real("--tol", args.tol, 0, math.inf, "[)")
     reports = bounds.table1()
     columns = ["d1", "d2", "lb_alves", "lb_biregular", "ub_root",
                "ref_lb_alves", "ref_lb_biregular", "ref_ub_root", "match"]
@@ -113,13 +114,13 @@ def cmd_table1(args) -> int:
     for r in reports:
         ref = bounds.TABLE_REFERENCE[(r.d1, r.d2)]
         got = (r.lb_alves, r.lb_biregular, r.ub_root)
-        oks = [abs(g - e) <= args.tol for g, e in zip(got, ref)]
+        oks = [abs(g - e) <= tol for g, e in zip(got, ref)]
         rows.append([r.d1, r.d2, *got, *ref, all(oks)])
         for name, g, e, ok in zip(("lb_alves", "lb_biregular", "ub_root"),
                                   got, ref, oks):
             if not ok:
                 bad.append(f"({r.d1},{r.d2}) {name}: got {g:.6f}, expected {e:.4f}")
-    _emit(args, "table1", columns, rows, extra={"all_match": not bad, "tol": args.tol})
+    _emit(args, "table1", columns, rows, extra={"all_match": not bad, "tol": tol})
     for line in bad:
         print(f"mismatch: {line}", file=sys.stderr)
     return 1 if bad else 0

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .laws import InitLaw
-from .tree import TreeParams, _check_int
+from .tree import TreeParams, _check_int, _check_real
 
 
 class HittingPair(NamedTuple):
@@ -44,10 +44,7 @@ class HittingPair(NamedTuple):
 
 
 def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"survival parameter p must lie in [0, 1], got {p!r}")
-    return p
+    return _check_real("survival parameter p", p, 0, 1, "[]")
 
 
 def hitting_pair(t: TreeParams, p: float) -> HittingPair:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import _check_int
+from .tree import _check_int, _check_real
 
 
 class InitLaw:
@@ -86,8 +86,7 @@ class Bernoulli(InitLaw):
     prob: float
 
     def __post_init__(self):
-        if not 0.0 < self.prob <= 1.0:
-            raise ValueError(f"Bernoulli law needs prob in (0, 1], got {self.prob!r}")
+        object.__setattr__(self, "prob", _check_real("Bernoulli law's prob", self.prob, 0, 1, "(]"))
         object.__setattr__(self, "support_max", 1)
 
     def pgf(self, s):
@@ -119,8 +118,7 @@ class Poisson(InitLaw):
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"Poisson law needs mu > 0, got {self.mu!r}")
+        object.__setattr__(self, "mu", _check_real("Poisson law's mu", self.mu, 0, math.inf, "()"))
 
     def pgf(self, s):
         return math.exp(self.mu * (s - 1.0))
@@ -155,8 +153,7 @@ class Geometric(InitLaw):
     r: float
 
     def __post_init__(self):
-        if not 0.0 < self.r < 1.0:
-            raise ValueError(f"Geometric law needs r in (0, 1), got {self.r!r}")
+        object.__setattr__(self, "r", _check_real("Geometric law's r", self.r, 0, 1, "()"))
 
     def pgf(self, s):
         return (1.0 - self.r) / (1.0 - self.r * s)

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_q
 from .hitting import (McEstimate, _auto_escape_radius, _check_p, _mc_estimate, _stream,
                       edge_exponents, hitting_pair)
 from .laws import InitLaw
-from .tree import TreeParams, _check_int
+from .tree import TreeParams, _check_int, _check_real
 
 K_MAX_DEFAULT = 64
 
@@ -65,11 +66,8 @@ class PathOpenTables:
     """
 
     def __init__(self, pgf, a: float, b: float, k_max: int = K_MAX_DEFAULT):
-        if not 0.0 <= a <= 1.0 or not 0.0 <= b <= 1.0:
-            raise ValueError(f"hitting probabilities must lie in [0, 1], got ({a}, {b})")
         self.pgf = pgf
-        self.a = float(a)
-        self.b = float(b)
+        self.a, self.b = (_check_real("hitting probability", v, 0, 1, "[]") for v in (a, b))
         self.k_max = _check_int("k_max", k_max, 1, math.inf)
         self.n_max = (self.k_max + 1) // 2
         # per orientation, 1-indexed; the kernel coefficients are
@@ -122,9 +120,8 @@ def path_open_prob(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float) 
 
 def bernoulli_path_open(n: int, q: float, a: float, b: float) -> float:
     """Closed form of same_11(n) when the frog count is Bernoulli(q)."""
-    n = _check_int("n", n, 1, math.inf)
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q}")
+    n, q = _check_int("n", n, 1, math.inf), _check_q(q)
+    a, b = (_check_real("hitting probability", v, 0, 1, "[]") for v in (a, b))
     return q * (a * b * (1.0 + q * (1.0 - b))) ** n * (1.0 + q * (1.0 - a)) ** (n - 1)
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from .hitting import (_auto_escape_radius, _check_p, _distance_chain, _mc_estimate, _stream,
                       edge_open_prob)
 from .laws import InitLaw
-from .tree import TreeParams, _check_int
+from .tree import TreeParams, _check_int, _check_real
 
 DENSE_CHILD_LIMIT = 64
 ACTIVATED_HARD_CAP = 10 ** 7
@@ -496,8 +496,7 @@ def coupled_thresholds(config: SimConfig, p_max: float,
                        replicas: int) -> CoupledThresholds:
     """Critical values p_hat of replicas replica_index .. + replicas - 1,
     resolved on [0, p_max); config.p and config.horizon are not used."""
-    if not 0.0 <= p_max < 1.0:
-        raise ValueError(f"p_max must lie in [0, 1), got {p_max}")
+    p_max = _check_real("p_max", p_max, 0, 1, "[)")
     replicas = _check_int("replicas", replicas, 1, math.inf)
     base = config.replica_index
     per_replica = [_replica_threshold(config, p_max, r)

@@ -12,13 +12,15 @@ against.  neighbors(t, addr)[slot] is the neighbor the stores reach
 through slot, and a store keys that edge v * stride + slot, with v the
 id of addr and stride TreeParams.stride, max(d1, d2) + 1.
 
-_check_int is the package's one integer rule: an integer is what
-operator.index takes (numpy ints too), bar a bool, within given bounds.
+Inputs pass one of two rules here or raise ValueError: _check_int takes what
+operator.index takes, bar a bool, in [low, high]; _check_real a finite
+numbers.Real, bar a bool, in an interval with ends "[]", "(]", "[)" or "()".
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -29,9 +31,27 @@ ROOT: VertexAddr = ()
 
 def _check_int(name: str, value, low: int, high: float) -> int:
     """value as a Python int; ValueError unless it is an integer in [low, high]."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or not low <= value <= high:
+    try:
+        index = math.nan if isinstance(value, bool) else operator.index(value)
+    except TypeError:  # a float, a str, or an array that is not an integer scalar
+        index = math.nan
+    if not low <= index <= high:
         raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return operator.index(value)
+    return index
+
+
+def _check_real(name: str, value, low: float, high: float, ends: str) -> float:
+    """value as a Python float; ValueError unless it is a finite real in the interval."""
+    try:  # a plain float skips the numbers.Real test, which costs several times the rest
+        real = (value if type(value) is float else float(value)
+                if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan)
+    except OverflowError:  # an int past the float range
+        real = math.nan
+    if not (math.isfinite(real) and (low <= real if ends[0] == "[" else low < real)
+            and (real <= high if ends[1] == "]" else real < high)):
+        raise ValueError(f"{name} must be a finite real in {ends[0]}{low}, {high}{ends[1]}, "
+                         f"got {value!r}")
+    return real
 
 
 @dataclass(frozen=True)

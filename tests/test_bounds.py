@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bifrog import bounds
 from bifrog.bounds import (
     TABLE_REFERENCE,
     TABLE_ROWS,
@@ -260,12 +261,15 @@ def test_disk_series_geometric_identity_for_constant_one():
         assert s.remainder < 1e-6
 
 
-def test_disk_series_certified_remainder_brackets_truth():
+def test_disk_series_certified_remainder_brackets_truth(monkeypatch):
     # truncating hard at small k_max must leave the truth inside
     # [value, value + remainder]
     law = Poisson(1.0)
-    full = disk_mean_offspring(law, 2, 0.3, k_max=400, i_max=512)
-    crude = disk_mean_offspring(law, 2, 0.3, k_max=4, i_max=16)
+    monkeypatch.setattr(bounds, "_DISK_I_MAX", 512)
+    full = disk_mean_offspring(law, 2, 0.3)
+    monkeypatch.setattr(bounds, "_DISK_K_MAX", 4)
+    monkeypatch.setattr(bounds, "_DISK_I_MAX", 16)
+    crude = disk_mean_offspring(law, 2, 0.3)
     truth = full.value
     assert crude.value <= truth + 1e-12
     assert crude.value + crude.remainder >= truth - 1e-12
@@ -291,19 +295,22 @@ def test_disk_series_divergence_guard():
         disk_mean_offspring(Constant(1), 3, 1.0 / 3.0)
 
 
-def test_disk_series_respects_support_max():
-    s = disk_mean_offspring(Bernoulli(0.5), 2, 0.3, i_max=100)
+def test_disk_series_respects_support_max(monkeypatch):
+    monkeypatch.setattr(bounds, "_DISK_I_MAX", 100)
+    s = disk_mean_offspring(Bernoulli(0.5), 2, 0.3)
     assert s.i_terms == 1
     # Bernoulli ball: P[>= k] = q p^k, series = q (D+1) p / (1 - D p)
     want = 0.5 * 3 * 0.3 / (1.0 - 0.6)
     assert abs(s.value - want) < 1e-9
 
 
-def test_disk_series_unbounded_law_tail():
-    s = disk_mean_offspring(Geometric(0.6), 2, 0.25, i_max=64)
+def test_disk_series_unbounded_law_tail(monkeypatch):
+    assert bounds._DISK_K_MAX == 400 and bounds._DISK_I_MAX == 256
+    finer = disk_mean_offspring(Geometric(0.6), 2, 0.25)
+    monkeypatch.setattr(bounds, "_DISK_I_MAX", 64)
+    s = disk_mean_offspring(Geometric(0.6), 2, 0.25)
     assert s.i_terms == 64
     assert s.remainder > 0.0
-    finer = disk_mean_offspring(Geometric(0.6), 2, 0.25, i_max=256)
     assert finer.value >= s.value - 1e-12
     assert finer.value <= s.value + s.remainder + 1e-12
 

@@ -101,6 +101,14 @@ def test_bounds_rejects_malformed_law(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [("bounds",), ("sweep", "--p", "0.5", "--replicas", "1")])
+def test_infinite_poisson_mean_is_a_bad_law_spec(capsys, command):
+    code, out, err = _run(capsys, *command, "--d1", "2", "--d2", "2",
+                          "--eta", "poisson:inf")
+    assert code == 2 and out == ""
+    assert "bad law spec" in err
+
+
 # --- table1 ------------------------------------------------------------------
 
 
@@ -126,6 +134,14 @@ def test_table1_zero_tolerance_fails(capsys):
     code, _, err = _run(capsys, "table1", "--tol", "0")
     assert code == 1
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_table1_tolerance_must_be_finite_and_nonnegative(capsys, tol):
+    # a negative or nan tolerance would flag every row, an infinite one pass it
+    code, out, err = _run(capsys, "table1", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "error:" in err
 
 
 # --- sweep -------------------------------------------------------------------

@@ -9,13 +9,16 @@ have one constructor, hitting._stream, so nothing else in the package
 builds a Philox or a SeedSequence: the coupled realization takes its
 stream from _stream too and reads the key back for _seek.  Integer
 inputs have one rule, tree._check_int, so nothing else in the package
-tests isinstance(_, int) or names __index__ or operator.index.
+tests isinstance(_, int) or names __index__ or operator.index; real
+inputs have one rule, tree._check_real, so no other function in the
+package calls float() on one of its own parameters.
 The count of settable values is pinned, so a change that adds or removes
 one must update SETTABLE_VALUES and say why.
 """
 
 import ast
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,9 +27,10 @@ import numpy as np
 import pytest
 
 import bifrog
-from bifrog.bounds import bounds_report, disk_mean_offspring, f_n_value, lb_alves, ub_root
+from bifrog.bounds import (bounds_report, disk_mean_offspring, f_n_value, lb_alves,
+                           lb_biregular, ub_root)
 from bifrog.hitting import hitting_pair, mc_hit_neighbor
-from bifrog.laws import Constant, Poisson
+from bifrog.laws import Bernoulli, Constant, Poisson, parse_law
 from bifrog.pathprob import (PathOpenQuery, PathOpenTables, bernoulli_path_open,
                              mc_path_open)
 from bifrog.sim import (SimConfig, coupled_thresholds, estimate_survival, gw_progeny_masses,
@@ -38,7 +42,7 @@ LAW = Poisson(1.0)
 CFG = SimConfig(tree=T23, law=LAW, p=0.5)
 #: defaulted parameters, **kwargs, defaulted dataclass fields and
 #: add_argument call sites over the package's modules
-SETTABLE_VALUES = 38
+SETTABLE_VALUES = 36
 
 
 def _package_sources():
@@ -132,8 +136,42 @@ def test_only_check_int_tests_for_an_integer():
     assert _sites(probe, _tests_for_an_integer) == ["f", "f", "A.g", "A.h", "A.h"]
     found = [f"{name}:{where}" for name, tree in _package_sources()
              for where in _sites(tree, _tests_for_an_integer)]
-    # its hasattr(value, "__index__") and its operator.index
-    assert found == ["tree.py:_check_int"] * 2
+    # its operator.index
+    assert found == ["tree.py:_check_int"]
+
+
+def _floats_a_parameter(node, where=(), params=frozenset()):
+    """Dotted names of the functions that call float() on one of their own
+    parameters, one entry per such call; a nested function or class sees
+    only its own parameters."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = frozenset()
+            if not isinstance(child, ast.ClassDef):
+                a = child.args
+                own = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                       a.vararg, a.kwarg) if x is not None}
+            found += _floats_a_parameter(child, (*where, child.name), own)
+            continue
+        if (isinstance(child, ast.Call) and _name(child.func) == "float"
+                and any(isinstance(a, ast.Name) and a.id in params for a in child.args)):
+            found.append(".".join(where))
+        found += _floats_a_parameter(child, where, params)
+    return found
+
+
+def test_only_check_real_floats_a_parameter():
+    probe = ast.parse("def f(x, /, y, *, z, **kw):\n"
+                      "    return float(x) + float(y) + float(z) + float(kw) + float(w)\n"
+                      "class A:\n    v = 1.0\n    def g(self, v):\n"
+                      "        return float(self.v), float(v), [float(u) for u in v]\n"
+                      "    def h(self, w):\n        def inner(u):\n"
+                      "            return float(u) + float(w)\n        return inner\n")
+    assert _floats_a_parameter(probe) == ["f"] * 4 + ["A.g", "A.h.inner"]
+    found = [f"{name}:{where}" for name, tree in _package_sources()
+             for where in _floats_a_parameter(tree)]
+    assert found == ["tree.py:_check_real"]
 
 
 def _is_dataclass(node):
@@ -207,6 +245,20 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: PathOpenQuery(1, 2, 3.0),
     lambda: mc_hit_neighbor(T23, 0.5, 1, 2.5),
     lambda: mc_hit_neighbor(T23, 0.5, 1, 10, seed=2.5),
+    lambda: parse_law("poisson:inf"),
+    lambda: lb_biregular(T23, math.inf),
+    lambda: SimConfig(tree=T23, law=LAW, p="0.5"),
+    lambda: SimConfig(tree=T23, law=LAW, p=True),
+    lambda: Bernoulli(True),
+    lambda: hitting_pair(T23, "0.8"),
+    lambda: Bernoulli("0.5"),
+    lambda: coupled_thresholds(CFG, "0.5", 1),
+    lambda: PathOpenTables(Constant(1).pgf, "0.3", 0.3),
+    lambda: TreeParams(np.array(2.5), 2),
+    lambda: bernoulli_path_open(1, 0.5, "0.3", 0.3),
+    lambda: bernoulli_path_open(1, 0.5, 0.3, 1.5),
+    lambda: Poisson(10 ** 400),
+    lambda: Poisson(1j),
 ], ids=[
     "range-k0", "range-trials0", "range-type3", "hit-type0", "hit-trials0",
     "path-trials0", "gw-type3", "f_n-n0", "ub_root-tol0", "disk-big_d0",
@@ -216,6 +268,10 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     "tree-d1-bool", "constant-bool", "bernoulli-n-float", "tables-k_max-float",
     "survival-replicas-bool", "survival-replicas-float", "coupled-replicas-float",
     "query-k-bool", "query-k-float", "hit-trials-float", "hit-seed-float",
+    "poisson-mu-inf", "lb_biregular-mean-inf", "config-p-str", "config-p-bool",
+    "bernoulli-prob-bool", "hitting-p-str", "bernoulli-prob-str", "coupled-p_max-str",
+    "tables-a-str", "tree-d1-float-array", "bernoulli-a-str", "bernoulli-b-above-1",
+    "poisson-mu-past-float-range", "poisson-mu-complex",
 ])
 def test_input_checks_raise_value_error(call):
     with pytest.raises(ValueError):
@@ -231,3 +287,12 @@ def test_numpy_integers_are_taken_and_stored_as_int():
     assert lb_alves(np.int64(3), 1.0) == lb_alves(3, 1.0)
     assert f_n_value(T23, 1.0, np.int64(3), 0.5) == f_n_value(T23, 1.0, 3, 0.5)
     json.dumps(asdict(bounds_report(TreeParams(np.int64(2), 2), Constant(1))))
+
+
+def test_reals_are_taken_and_stored_as_float():
+    for x in (np.float64(0.5), np.float32(0.5), 1):
+        want = float(x)
+        stored = (Poisson(x).mu, Bernoulli(x).prob, SimConfig(tree=T23, law=LAW, p=x).p,
+                  PathOpenTables(Constant(1).pgf, x, 0.3).a)
+        assert all(type(v) is float and v == want for v in stored), (x, stored)
+    assert repr(Poisson(np.float64(1.5))) == "Poisson(mu=1.5)"

@@ -3,7 +3,8 @@
 These helpers are the oracle the simulator's tree stores are checked
 against in test_sim.py, so their own rules are checked here on an
 explicitly built finite ball: parity, degrees, the parent/child inverse
-and the neighbor slot order.
+and the neighbor slot order.  The real-valued input rule, which lives in
+the same module, is checked at the ends of its four kinds of interval.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from bifrog.tree import (
     ROOT,
     TreeParams,
+    _check_real,
     children,
     degree,
     neighbors,
@@ -40,6 +42,18 @@ def test_params_validation():
         TreeParams(0, 2)
     with pytest.raises(ValueError):
         TreeParams(2, -1)
+
+
+@pytest.mark.parametrize("ends,low_in,high_in", [
+    ("[]", True, True), ("(]", False, True), ("[)", True, False), ("()", False, False),
+])
+def test_check_real_reads_the_interval_ends(ends, low_in, high_in):
+    for value, inside in ((0, low_in), (0.5, True), (1, high_in), (-0.1, False), (1.1, False)):
+        if inside:
+            assert _check_real("x", value, 0, 1, ends) == value
+        else:
+            with pytest.raises(ValueError, match=rf"x must be a finite real in \{ends[0]}0, 1"):
+                _check_real("x", value, 0, 1, ends)
 
 
 def test_kappa_and_swap():
