@@ -38,12 +38,16 @@ TABLE_REFERENCE = {
     (4, 10000): (0.5000, 0.5271, 0.5572),
 }
 TABLE_ROWS = tuple(TABLE_REFERENCE)
+#: table1's comparison tolerance: half a unit in the references' fourth decimal
+TABLE_TOL = 5e-5
 
 
 #: bisection bracket width of ub_root, ub_root_n and bounds_report
 ROOT_TOL = 1e-12
-#: bisection bracket on (0, 1) and its iteration cap
-_BRACKET, _MAX_BISECT = (1e-9, 1.0 - 1e-9), 200
+#: bisection bracket on (0, 1)
+_BRACKET = (1e-9, 1.0 - 1e-9)
+#: halvings that take the bracket width below ROOT_TOL
+_BISECT_STEPS = math.ceil(math.log2((_BRACKET[1] - _BRACKET[0]) / ROOT_TOL))
 #: disk_mean_offspring sums shells k <= _DISK_K_MAX and frog counts i <= _DISK_I_MAX
 _DISK_K_MAX, _DISK_I_MAX = 400, 256
 
@@ -66,8 +70,10 @@ def lb_biregular(t: TreeParams, mean_eta: float) -> float:
     _check_not_11(t)
     e = _check_real("mean frog count", mean_eta, 0, math.inf, "()")
     d1, d2 = t.d1, t.d2
-    return math.sqrt((d1 + 1) * (d2 + 1) /
-                     ((d1 * (e + 1) + 1) * (d2 * (e + 1) + 1)))
+    x1, x2 = d1 * (e + 1) + 1, d2 * (e + 1) + 1
+    if math.isinf(x1 * x2):  # the product overflows past a mean near 1e154
+        return math.sqrt((d1 + 1) / x1) * math.sqrt((d2 + 1) / x2)
+    return math.sqrt((d1 + 1) * (d2 + 1) / (x1 * x2))
 
 
 def lb_alves(big_d: int, mean_eta: float) -> float:
@@ -116,32 +122,28 @@ def f_n_value(t: TreeParams, q: float, n: int, p: float) -> float:
 class RootResult:
     value: float
     iterations: int
-    tol: float
 
 
-def _bisect_increasing(f, tol: float, what: str) -> RootResult:
+def _bisect_increasing(f, what: str) -> RootResult:
     lo, hi = _BRACKET
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi):
         raise NoRootError(f"{what} does not change sign on ({lo:g}, {hi:g}): "
                           f"endpoint values are {flo:.6g} and {fhi:.6g}")
-    iters = 0
-    while hi - lo > tol and iters < _MAX_BISECT:
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        iters += 1
-    return RootResult(value=0.5 * (lo + hi), iterations=iters, tol=tol)
+    return RootResult(value=0.5 * (lo + hi), iterations=_BISECT_STEPS)
 
 
-def ub_root(t: TreeParams, q: float = 1.0, tol: float = ROOT_TOL) -> RootResult:
+def ub_root(t: TreeParams, q: float = 1.0) -> RootResult:
     """Upper bound on p_c: the root of f(t, q, .) in (0, 1)."""
     _check_not_11(t)
     q = _check_q(q)
-    tol = _check_real("tol", tol, 0, 1, "()")
-    return _bisect_increasing(lambda p: f_value(t, q, p), tol, what="f")
+    return _bisect_increasing(lambda p: f_value(t, q, p), what="f")
 
 
 def ub_root_n(t: TreeParams, q: float, n: int) -> RootResult:
@@ -153,8 +155,7 @@ def ub_root_n(t: TreeParams, q: float, n: int) -> RootResult:
     """
     _check_not_11(t)
     q = _check_q(q)
-    return _bisect_increasing(lambda p: f_n_value(t, q, n, p), ROOT_TOL,
-                              what=f"f_n (q={q:g}, n={n})")
+    return _bisect_increasing(lambda p: f_n_value(t, q, n, p), what=f"f_n (q={q:g}, n={n})")
 
 
 def ub_closed(t: TreeParams) -> float:
@@ -227,8 +228,8 @@ class BoundsReport:
     tol: float
 
 
-def bounds_report(t: TreeParams, law: InitLaw, tol: float = ROOT_TOL) -> BoundsReport:
-    root = ub_root(t, q=law.q, tol=tol)
+def bounds_report(t: TreeParams, law: InitLaw) -> BoundsReport:
+    root = ub_root(t, q=law.q)
     return BoundsReport(
         d1=t.d1, d2=t.d2, eta=describe_law(law),
         mean_eta=law.mean, q=law.q,
@@ -236,7 +237,7 @@ def bounds_report(t: TreeParams, law: InitLaw, tol: float = ROOT_TOL) -> BoundsR
         lb_biregular=lb_biregular(t, law.mean),
         ub_root=root.value,
         ub_closed=ub_closed(t) if law.q == 1.0 else None,
-        root_iterations=root.iterations, tol=tol)
+        root_iterations=root.iterations, tol=ROOT_TOL)
 
 
 def table1() -> list:

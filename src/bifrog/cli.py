@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, bounds, checks, sim
 from .laws import parse_law
-from .tree import TreeParams, _check_real
+from .tree import TreeParams
 
 SCHEMA_VERSION = 1
 
@@ -55,8 +55,6 @@ def parse_p_grid(text: str) -> list:
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
@@ -99,13 +97,12 @@ def _table(cls, records: list) -> tuple:
 def cmd_bounds(args) -> int:
     t = TreeParams(args.d1, args.d2)
     law = parse_law(args.eta)
-    report = bounds.bounds_report(t, law, tol=args.tol)
+    report = bounds.bounds_report(t, law)
     _emit(args, "bounds", *_table(bounds.BoundsReport, [report]))
     return 0
 
 
 def cmd_table1(args) -> int:
-    tol = _check_real("--tol", args.tol, 0, math.inf, "[)")
     reports = bounds.table1()
     columns = ["d1", "d2", "lb_alves", "lb_biregular", "ub_root",
                "ref_lb_alves", "ref_lb_biregular", "ref_ub_root", "match"]
@@ -114,13 +111,13 @@ def cmd_table1(args) -> int:
     for r in reports:
         ref = bounds.TABLE_REFERENCE[(r.d1, r.d2)]
         got = (r.lb_alves, r.lb_biregular, r.ub_root)
-        oks = [abs(g - e) <= tol for g, e in zip(got, ref)]
+        oks = [abs(g - e) <= bounds.TABLE_TOL for g, e in zip(got, ref)]
         rows.append([r.d1, r.d2, *got, *ref, all(oks)])
         for name, g, e, ok in zip(("lb_alves", "lb_biregular", "ub_root"),
                                   got, ref, oks):
             if not ok:
                 bad.append(f"({r.d1},{r.d2}) {name}: got {g:.6f}, expected {e:.4f}")
-    _emit(args, "table1", columns, rows, extra={"all_match": not bad, "tol": tol})
+    _emit(args, "table1", columns, rows, extra={"all_match": not bad, "tol": bounds.TABLE_TOL})
     for line in bad:
         print(f"mismatch: {line}", file=sys.stderr)
     return 1 if bad else 0
@@ -175,14 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="analytic bounds for one (d1, d2, law) row")
     _add_tree_opts(p)
-    p.add_argument("--tol", type=float, default=bounds.ROOT_TOL,
-                   help="bisection bracket width")
     _add_output_opts(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("table1", help="nine-row reference grid with eta = 1")
-    p.add_argument("--tol", type=float, default=5e-5,
-                   help="absolute comparison tolerance against the reference values")
     _add_output_opts(p)
     p.set_defaults(func=cmd_table1)
 
@@ -190,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tree_opts(p)
     p.add_argument("--p", required=True, help="grid as lo:hi:step or comma list")
     p.add_argument("--replicas", type=int, default=200)
-    p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--awake-cap", dest="awake_cap", type=int, default=100_000)
+    p.add_argument("--horizon", type=int, default=sim.SimConfig.horizon)
+    p.add_argument("--awake-cap", dest="awake_cap", type=int, default=sim.SimConfig.awake_cap)
     p.add_argument("--coupled", action="store_true",
                    help="share one realization per replica across the grid; "
                         "--awake-cap then bounds the total of woken frogs and "
                         "--horizon is ignored")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=sim.SimConfig.seed)
     _add_output_opts(p)
     p.set_defaults(func=cmd_sweep)
 

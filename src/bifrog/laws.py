@@ -17,6 +17,11 @@ import numpy as np
 
 from .tree import _check_int, _check_real
 
+#: largest k a Constant law takes: sample returns it as an int64
+_CONSTANT_K_MAX = 2 ** 63 - 1
+#: largest mu numpy's Poisson sampler takes, int64 max less ten of its square roots
+_POISSON_MU_MAX = 9.223372006484771e18
+
 
 class InitLaw:
     """Base class for per-vertex frog-count distributions."""
@@ -61,7 +66,7 @@ class Constant(InitLaw):
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _check_int("Constant law's k", self.k, 1, math.inf))
+        object.__setattr__(self, "k", _check_int("Constant law's k", self.k, 1, _CONSTANT_K_MAX))
         object.__setattr__(self, "support_max", self.k)
 
     def pgf(self, s):
@@ -118,7 +123,8 @@ class Poisson(InitLaw):
     mu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _check_real("Poisson law's mu", self.mu, 0, math.inf, "()"))
+        object.__setattr__(self, "mu", _check_real("Poisson law's mu", self.mu, 0,
+                                                   _POISSON_MU_MAX, "(]"))
 
     def pgf(self, s):
         return math.exp(self.mu * (s - 1.0))

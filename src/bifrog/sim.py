@@ -213,9 +213,6 @@ def run_frog(config: SimConfig) -> SimOutcome:
     rng = _stream(config.seed, config.replica_index)
     table = _TreeTable(tree)
     eta_root = int(law.sample(rng, 1)[0])
-    if eta_root == 0:
-        return SimOutcome(survived=False, at_time=0, censor_reason=None,
-                          max_awake=0, vertices_activated=1)
     pos = np.zeros(eta_root, dtype=_VID)
     max_awake = eta_root
     for now in range(config.horizon):
@@ -581,7 +578,7 @@ def run_multitype_gw(t: TreeParams, law: InitLaw, p: float, seed: int = 0,
         if n1 + n2 == 0:
             return GwOutcome(extinct=True, at_generation=gen, population_trace=trace)
         if n1 + n2 > _GW_POPULATION_CAP:
-            return GwOutcome(extinct=False, at_generation=None, population_trace=trace)
+            break
     return GwOutcome(extinct=False, at_generation=None, population_trace=trace)
 
 

@@ -63,6 +63,13 @@ def test_lb_alves_equals_lb_biregular_iff_regular():
     assert lb_biregular(t, 1.0) > lb_alves(3, 1.0)
 
 
+def test_lb_biregular_does_not_round_to_zero_at_huge_means():
+    # the two-factor denominator overflows near a mean of 1e154; on the
+    # regular tree the bound must still equal the single-type one
+    assert math.isclose(lb_biregular(TreeParams(2, 2), 1e300), lb_alves(2, 1e300),
+                        rel_tol=1e-12)
+
+
 def test_lb_monotone_in_mean():
     t = TreeParams(2, 3)
     means = [0.5, 1.0, 2.0, 5.0]
@@ -153,6 +160,13 @@ def test_ub_root_exact_on_2_2():
     res = ub_root(TreeParams(2, 2))
     assert abs(res.value - 0.75) < 1e-9
     assert res.iterations > 0
+
+
+def test_bisection_halves_the_bracket_just_below_root_tol():
+    lo, hi = bounds._BRACKET
+    assert bounds._BISECT_STEPS == 40
+    assert (hi - lo) / 2 ** bounds._BISECT_STEPS <= bounds.ROOT_TOL
+    assert (hi - lo) / 2 ** (bounds._BISECT_STEPS - 1) > bounds.ROOT_TOL
 
 
 def test_ub_root_swap_symmetric():

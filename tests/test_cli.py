@@ -11,7 +11,7 @@ import json
 import pytest
 
 import bifrog.sim as sim
-from bifrog import checks, cli
+from bifrog import bounds, checks, cli
 from bifrog.checks import CheckResult
 from bifrog.cli import main, parse_p_grid
 
@@ -88,6 +88,20 @@ def test_bounds_json_schema(capsys):
     assert 0.0 < row["lb_biregular"] < row["ub_root"] < 1.0
 
 
+def test_bounds_without_closed_form_prints_an_empty_cell(capsys):
+    # ub_closed needs q = 1; Poisson(1) has q = 1 - 1/e
+    argv = ("bounds", "--d1", "2", "--d2", "3", "--eta", "poisson:1")
+    code, out, _ = _run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["ub_closed"] == "" and row["ub_root"] != ""
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    header, row = out.splitlines()
+    start = header.index("ub_closed")
+    assert row[start - 2:start + len("ub_closed")].strip() == ""
+
+
 def test_bounds_rejects_1_1_geometry(capsys):
     code, _, err = _run(capsys, "bounds", "--d1", "1", "--d2", "1")
     assert code == 2
@@ -103,10 +117,11 @@ def test_bounds_rejects_malformed_law(capsys):
 
 @pytest.mark.parametrize("command", [("bounds",), ("sweep", "--p", "0.5", "--replicas", "1")])
 def test_infinite_poisson_mean_is_a_bad_law_spec(capsys, command):
-    code, out, err = _run(capsys, *command, "--d1", "2", "--d2", "2",
-                          "--eta", "poisson:inf")
-    assert code == 2 and out == ""
-    assert "bad law spec" in err
+    # the finite two are past what numpy's Poisson sampler and an int64 take
+    for eta in ("poisson:inf", "poisson:1e19", "const:99999999999999999999"):
+        code, out, err = _run(capsys, *command, "--d1", "2", "--d2", "2", "--eta", eta)
+        assert code == 2 and out == ""
+        assert "bad law spec" in err
 
 
 # --- table1 ------------------------------------------------------------------
@@ -128,20 +143,21 @@ def test_table1_csv_round_trips(capsys):
     assert abs(float(row["ub_root"]) - 0.7063) < 5e-5
 
 
-def test_table1_zero_tolerance_fails(capsys):
+def test_table1_zero_tolerance_fails(capsys, monkeypatch):
     # the references are 4-decimal roundings, so exact comparison must flag
     # every row and exit nonzero
-    code, _, err = _run(capsys, "table1", "--tol", "0")
+    monkeypatch.setattr(bounds, "TABLE_TOL", 0.0)
+    code, _, err = _run(capsys, "table1")
     assert code == 1
     assert "mismatch" in err
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-def test_table1_tolerance_must_be_finite_and_nonnegative(capsys, tol):
-    # a negative or nan tolerance would flag every row, an infinite one pass it
-    code, out, err = _run(capsys, "table1", "--tol", tol)
-    assert code == 2 and out == ""
-    assert "error:" in err
+@pytest.mark.parametrize("argv", [["bounds", "--d1", "2", "--d2", "3"], ["table1"]],
+                         ids=["bounds", "table1"])
+def test_tolerances_are_not_options(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", "1e-6"])
+    assert exc.value.code == 2
 
 
 # --- sweep -------------------------------------------------------------------

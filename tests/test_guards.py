@@ -28,9 +28,9 @@ import pytest
 
 import bifrog
 from bifrog.bounds import (bounds_report, disk_mean_offspring, f_n_value, lb_alves,
-                           lb_biregular, ub_root)
+                           lb_biregular)
 from bifrog.hitting import hitting_pair, mc_hit_neighbor
-from bifrog.laws import Bernoulli, Constant, Poisson, parse_law
+from bifrog.laws import _POISSON_MU_MAX, Bernoulli, Constant, Poisson, parse_law
 from bifrog.pathprob import (PathOpenQuery, PathOpenTables, bernoulli_path_open,
                              mc_path_open)
 from bifrog.sim import (SimConfig, coupled_thresholds, estimate_survival, gw_progeny_masses,
@@ -42,7 +42,7 @@ LAW = Poisson(1.0)
 CFG = SimConfig(tree=T23, law=LAW, p=0.5)
 #: defaulted parameters, **kwargs, defaulted dataclass fields and
 #: add_argument call sites over the package's modules
-SETTABLE_VALUES = 36
+SETTABLE_VALUES = 32
 
 
 def _package_sources():
@@ -222,7 +222,6 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: mc_path_open(PathOpenQuery(1, 2, 1), T23, LAW, 0.5, trials=0),
     lambda: gw_progeny_masses(T23, LAW, 0.5, parent_type=3),
     lambda: f_n_value(T23, 1.0, 0, 0.5),
-    lambda: ub_root(T23, tol=0.0),
     lambda: disk_mean_offspring(LAW, 0, 0.1),
     lambda: bernoulli_path_open(0, 0.5, 0.3, 0.3),
     lambda: bernoulli_path_open(1, 0.0, 0.3, 0.3),
@@ -259,9 +258,12 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: bernoulli_path_open(1, 0.5, 0.3, 1.5),
     lambda: Poisson(10 ** 400),
     lambda: Poisson(1j),
+    lambda: Poisson(math.nextafter(_POISSON_MU_MAX, math.inf)),
+    lambda: Constant(2 ** 63),
+    lambda: parse_law("const:" + "9" * 401),
 ], ids=[
     "range-k0", "range-trials0", "range-type3", "hit-type0", "hit-trials0",
-    "path-trials0", "gw-type3", "f_n-n0", "ub_root-tol0", "disk-big_d0",
+    "path-trials0", "gw-type3", "f_n-n0", "disk-big_d0",
     "bernoulli-n0", "bernoulli-q0", "tables-past-k_max",
     "config-horizon-float", "config-cap-float", "config-cap-bool", "config-seed-negative",
     "config-seed-str", "config-replica-float", "config-replica-negative",
@@ -272,6 +274,7 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     "bernoulli-prob-bool", "hitting-p-str", "bernoulli-prob-str", "coupled-p_max-str",
     "tables-a-str", "tree-d1-float-array", "bernoulli-a-str", "bernoulli-b-above-1",
     "poisson-mu-past-float-range", "poisson-mu-complex",
+    "poisson-mu-past-sampler", "constant-k-past-int64", "constant-spec-past-float-range",
 ])
 def test_input_checks_raise_value_error(call):
     with pytest.raises(ValueError):

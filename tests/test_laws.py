@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifrog.laws import (
+    _CONSTANT_K_MAX,
+    _POISSON_MU_MAX,
     Bernoulli,
     Constant,
     Geometric,
@@ -136,6 +138,16 @@ def test_validation_rejects_bad_parameters():
         Geometric(-0.1)
 
 
+def test_parameter_caps_are_the_samplers_own():
+    rng = np.random.default_rng(0)
+    top = Poisson(_POISSON_MU_MAX)
+    assert top.sample(rng, 2).dtype == np.int64 and top.draw(rng) > 0
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(math.nextafter(_POISSON_MU_MAX, math.inf))
+    assert _CONSTANT_K_MAX == np.iinfo(np.int64).max
+    assert Constant(_CONSTANT_K_MAX).sample(rng, 2).tolist() == [_CONSTANT_K_MAX] * 2
+
+
 def test_parse_law_round_trip():
     assert isinstance(parse_law("const:2"), Constant)
     assert isinstance(parse_law("bernoulli:0.5"), Bernoulli)
@@ -183,7 +195,7 @@ def test_draw_reads_the_stream_sample_reads(law, seed):
     assert g1.random() == g2.random()
 
 
-@given(law=_ANY_LAW | st.floats(0.0, exclude_min=True, allow_infinity=False).map(Poisson))
+@given(law=_ANY_LAW | st.floats(0.0, _POISSON_MU_MAX, exclude_min=True).map(Poisson))
 @example(law=Poisson(1.23456789))
 @example(law=Bernoulli(1.0))
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,5 @@
-"""Exact outputs of the Monte Carlo oracles, the path-open tables and the
-laws' zero mass.
+"""Exact outputs of the Monte Carlo oracles, the path-open tables, the
+laws' zero mass and the upper-bound roots.
 
 The oracle tests elsewhere compare within four standard errors, which a
 changed random stream would still pass.  These values were recorded at the
@@ -11,6 +11,10 @@ reordered sum would still pass.  The table digests and the zero masses were
 recorded at the commit before the path-open recursion was written once for
 both orientations of a geodesic and before P[eta = 0] was read off the pmf,
 and passed there.
+
+The roots of the gap function on the nine reference rows at q = 1 and
+q = 1/2 were recorded, as float.hex, at the commit before the bisection
+took a fixed number of halvings, and passed there.
 """
 
 import hashlib
@@ -18,6 +22,7 @@ from dataclasses import astuple
 
 import pytest
 
+from bifrog.bounds import TABLE_ROWS, ub_root
 from bifrog.hitting import mc_hit_neighbor
 from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
 from bifrog.pathprob import PathOpenQuery, PathOpenTables, mc_path_open
@@ -87,6 +92,22 @@ def test_path_open_tables_are_pinned(law, a, b, expected):
     words = [tables.value(PathOpenQuery(i, j, 2 * n - (i != j))).hex()
              for i in (1, 2) for j in (1, 2) for n in range(1, 13)]
     assert hashlib.sha256(" ".join(words).encode()).hexdigest()[:16] == expected
+
+
+_UB_ROOT_HEX = {
+    1.0: ("0x1.b7b00c149f228p-1", "0x1.9b99e43be2658p-1", "0x1.8cb980d2762f6p-1",
+          "0x1.7fffffffff7d0p-1", "0x1.699eb6ecd7bb2p-1", "0x1.5d9a1c2332f72p-1",
+          "0x1.277b2ca623dc2p-1", "0x1.26108a1bf4070p-1", "0x1.1d43f2933b9cap-1"),
+    0.5: ("0x1.e869c332e6960p-1", "0x1.d766548250bb0p-1", "0x1.cd1982a451352p-1",
+          "0x1.c62c77480cb36p-1", "0x1.b558e6f5853d0p-1", "0x1.ab9d06eb7ada2p-1",
+          "0x1.7ba691fb36d96p-1", "0x1.7a4281c970cbep-1", "0x1.722bc54b46474p-1"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(_UB_ROOT_HEX))
+@pytest.mark.parametrize("row", range(len(TABLE_ROWS)))
+def test_ub_root_values_are_pinned(row, q):
+    assert ub_root(TreeParams(*TABLE_ROWS[row]), q).value.hex() == _UB_ROOT_HEX[q][row]
 
 
 @pytest.mark.parametrize("law, p0, q", [

@@ -838,6 +838,23 @@ def test_gw_deterministic_and_p_zero():
     assert run_multitype_gw(T22, Constant(1), 0.0, seed=4) == out
 
 
+def test_gw_empty_generation_zero_is_extinction_at_zero():
+    # all d1 + 2 = 4 Bernoulli(0.05) draws of generation 0 are 0 at this seed
+    out = run_multitype_gw(T22, Bernoulli(0.05), 0.5, seed=0)
+    assert out == sim.GwOutcome(extinct=True, at_generation=0, population_trace=[(0, 0)])
+
+
+def test_gw_generation_and_population_caps_report_survival(monkeypatch):
+    trace = [(0, 4), (6, 0), (0, 10), (18, 0), (0, 31), (48, 0)]
+    monkeypatch.setattr(sim, "_GW_MAX_GENERATIONS", 5)
+    out = run_multitype_gw(T22, Constant(1), 0.95, seed=0)
+    assert out == sim.GwOutcome(extinct=False, at_generation=None, population_trace=trace)
+    monkeypatch.setattr(sim, "_GW_POPULATION_CAP", 20)
+    out = run_multitype_gw(T22, Constant(1), 0.95, seed=0)
+    assert out == sim.GwOutcome(extinct=False, at_generation=None,
+                                population_trace=trace[:5])
+
+
 def test_gw_subcritical_always_dies():
     p_sub = 0.9 * lb_biregular(T22, 1.0)
     for r in range(200):
