@@ -149,16 +149,16 @@ def _distance_chain(rng: np.random.Generator, t: TreeParams, p: float,
         if steps == _CHAIN_STEP_CAP:
             raise RuntimeError(f"{idx.size} killed walks still alive after "
                                f"{_CHAIN_STEP_CAP} steps")
-        keep = rng.random(idx.size) < p
-        idx, m = idx[keep], m[keep]
+        keep = np.flatnonzero(rng.random(idx.size) < p)
+        idx, m = idx.take(keep), m.take(keep)
         if idx.size:
             deg = np.where((parity + m) % 2 == 0, t.d1 + 1, t.d2 + 1)
             m = np.where(rng.random(idx.size) < 1.0 / deg, m - 1, m + 1)
             jumps[idx] += 1
             arrived = m == 0
-            hit[idx[arrived]] = True
-            stay = ~arrived & (m <= radius)
-            idx, m = idx[stay], m[stay]
+            hit[idx.compress(arrived)] = True
+            stay = np.flatnonzero(~arrived & (m <= radius))
+            idx, m = idx.take(stay), m.take(stay)
         steps += 1
     return hit, jumps
 

@@ -159,12 +159,11 @@ def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
     reach[trial, owner, pos] = True
 
     while pos.size:
-        ty = (i0 + pos + off) % 2
-        deg = np.where(ty == 0, degs[0], degs[1])
-        alive = rng.random(pos.size) < p
-        trial, owner, pos, off, deg = trial[alive], owner[alive], pos[alive], off[alive], deg[alive]
+        alive = np.flatnonzero(rng.random(pos.size) < p)
+        trial, owner, pos, off = (a.take(alive) for a in (trial, owner, pos, off))
         if not pos.size:
             break
+        deg = np.where((i0 + pos + off) % 2 == 0, degs[0], degs[1])
         # u * deg rounds below deg for u <= 1 - 2**-53, so truncation needs no clamp
         slot = (rng.random(pos.size) * deg).astype(np.int64)
         on_path = off == 0
@@ -177,11 +176,11 @@ def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
         pos = pos + go_right.astype(np.int64) - go_left.astype(np.int64)
         off = off + np.where(on_path, go_off.astype(np.int64),
                              np.where(back, -1, 1))
-        arrived = off == 0
-        if arrived.any():
-            reach[trial[arrived], owner[arrived], pos[arrived]] = True
-        keep = off <= radius
-        trial, owner, pos, off = trial[keep], owner[keep], pos[keep], off[keep]
+        arrived = np.flatnonzero(off == 0)
+        if arrived.size:
+            reach[trial.take(arrived), owner.take(arrived), pos.take(arrived)] = True
+        keep = np.flatnonzero(off <= radius)
+        trial, owner, pos, off = (a.take(keep) for a in (trial, owner, pos, off))
 
     # open-to-the-end recursion, from the far end down to x_0
     open_to = np.zeros((trials, k + 1), dtype=bool)

@@ -12,7 +12,11 @@ vertex is first entered at its own level parity, so all awake frogs share
 the parity of the time step and one degree serves the whole step.  Vertex
 ids, frog positions and jump slots are int32: ids stay below
 ACTIVATED_HARD_CAP, and the byte bound on the neighbor table keeps every
-flat index into it below 2**31.
+flat index into it below 2**31.  A step makes few copies: the survival
+uniforms fill a view of one buffer per run, survivors are kept by
+compress, the store gathers with take, and a waking in which every fresh
+vertex holds one frog appends the fresh ids without np.repeat.  The
+positions and that buffer stay within FROG_ARRAY_BYTES.
 
 The coupled sweep is time-free: a replica survives at p when its
 activation cluster (the root, and every vertex a walk from an awake
@@ -53,15 +57,20 @@ DENSE_CHILD_LIMIT = 64
 ACTIVATED_HARD_CAP = 10 ** 7
 #: largest dense store (its neighbor table), in bytes, that _TreeTable allocates
 DENSE_TABLE_BYTES = 1 << 30
+#: largest frog arrays, in bytes, that run_frog allocates: the awake frogs'
+#: positions and the buffer of their survival uniforms
+FROG_ARRAY_BYTES = 1 << 30
 _MAX_WALK_STEPS = 10 ** 6
 #: dtype of run_frog's vertex ids, positions and flat neighbor-table indices
 _VID = np.dtype(np.int32)
 _EMPTY = np.empty(0, dtype=_VID)
+#: bytes per awake frog: an int32 position and a float64 survival uniform
+_FROG_ITEMSIZE = _VID.itemsize + np.dtype(np.float64).itemsize
 
 
 class SimResourceError(RuntimeError):
-    """The run touched more vertices, or walked a frog further, than a hard
-    safety cap allows."""
+    """The run touched more vertices, held more awake frogs, or walked a frog
+    further, than a hard safety cap allows."""
 
 
 def _check_vertex_count(need: int) -> None:
@@ -69,6 +78,13 @@ def _check_vertex_count(need: int) -> None:
         raise SimResourceError(
             f"run would activate more than {ACTIVATED_HARD_CAP} vertices; "
             f"lower the horizon, awake_cap or p_max")
+
+
+def _check_frog_count(need: int) -> None:
+    if need > FROG_ARRAY_BYTES // _FROG_ITEMSIZE:
+        raise SimResourceError(
+            f"{need} awake frogs would need more than {FROG_ARRAY_BYTES} bytes "
+            f"of frog arrays; lower awake_cap or the law's mean")
 
 
 def _extended(a: np.ndarray, size: int) -> np.ndarray:
@@ -146,28 +162,31 @@ class _TreeTable:
         """One jump per mover through slot, uniform on [0, degree); returns
         (targets, fresh ids in alloc order).  movers and slot are int32."""
         if self.dense:
-            flat = movers * self.stride + slot
-            got = self.nbr[flat]
+            flat = movers * self.stride
+            flat += slot
+            got = self.nbr.take(flat)
             miss = np.flatnonzero(got == 0)
             fresh = _EMPTY
             if miss.size:
                 # one fresh id per distinct (parent id, slot), in that order
-                want = flat[miss]
+                want = flat.take(miss)
                 keys = np.sort(want)
-                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+                keys = keys.compress(np.concatenate(([True], keys[1:] != keys[:-1])))
                 fresh = self._add(keys // self.stride)
-                self.nbr[keys] = fresh + 1
-                got[miss] = self.nbr[want]
+                # a fancy store takes numpy's fast path only for intp indices
+                self.nbr[keys.astype(np.intp)] = fresh + 1
+                got[miss] = self.nbr.take(want)
             got -= 1
             return got, fresh
         targets = np.empty_like(movers)
-        to_parent = (slot == 0) & (movers != 0)
-        targets[to_parent] = self.parent[movers[to_parent]]
-        cm = ~to_parent
+        up = (slot == 0) & (movers != 0)
+        to_parent, to_child = np.flatnonzero(up), np.flatnonzero(~up)
+        targets[to_parent] = self.parent.take(movers.take(to_parent))
         # fresh ids follow the order in which the movers reach them
         child, n = self.child, self.n
         got, new_keys = [], []
-        for key in (movers[cm].astype(np.int64) * self.stride + slot[cm]).tolist():
+        keys = movers.take(to_child).astype(np.int64) * self.stride + slot.take(to_child)
+        for key in keys.tolist():
             y = child.get(key)
             if y is None:
                 y = child[key] = n + len(new_keys)
@@ -176,7 +195,7 @@ class _TreeTable:
         fresh = _EMPTY
         if new_keys:
             fresh = self._add(np.array(new_keys, dtype=np.int64) // self.stride)
-        targets[cm] = got
+        targets[to_child] = got
         return targets, fresh
 
 
@@ -213,10 +232,17 @@ def run_frog(config: SimConfig) -> SimOutcome:
     rng = _stream(config.seed, config.replica_index)
     table = _TreeTable(tree)
     eta_root = int(law.sample(rng, 1)[0])
+    _check_frog_count(eta_root)
     pos = np.zeros(eta_root, dtype=_VID)
+    uniforms = np.empty(eta_root)
     max_awake = eta_root
     for now in range(config.horizon):
-        pos = pos[rng.random(pos.size) < p]
+        if pos.size > uniforms.size:
+            uniforms = np.empty(min(2 * pos.size, FROG_ARRAY_BYTES // _FROG_ITEMSIZE))
+        # random(out=) reads the same stream as random(pos.size)
+        u = uniforms[:pos.size]
+        rng.random(out=u)
+        pos = pos.compress(u < p)
         survivors = pos.size
         woken = 0
         if survivors:
@@ -228,7 +254,12 @@ def run_frog(config: SimConfig) -> SimOutcome:
             if fresh.size:
                 counts = law.sample(rng, fresh.size)
                 woken = int(counts.sum())
-                pos = np.concatenate([targets, np.repeat(fresh, counts)])
+                _check_frog_count(survivors + woken)
+                # one frog on every fresh vertex (always so at const:1) needs no repeat
+                if woken == fresh.size and counts.min() == 1:
+                    pos = np.concatenate([targets, fresh])
+                else:
+                    pos = np.concatenate([targets, np.repeat(fresh, counts)])
             else:
                 pos = targets
         if pos.size != survivors + woken:

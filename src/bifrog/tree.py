@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 VertexAddr = tuple
 
+#: largest d1 or d2: the d + 1 neighbor slots of a vertex fit the simulator's int32 slot draw
+_D_MAX = 2 ** 31 - 2
+
 ROOT: VertexAddr = ()
 
 
@@ -61,7 +64,7 @@ class TreeParams:
 
     def __post_init__(self):
         for name in ("d1", "d2"):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1, math.inf))
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1, _D_MAX))
 
     @property
     def kappa(self) -> int:

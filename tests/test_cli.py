@@ -224,6 +224,28 @@ def test_sweep_resource_error_exits_one(capsys, monkeypatch):
     assert err.startswith("resource error:")
 
 
+def test_sweep_frog_byte_bound_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", 1_200)  # 100 frogs
+    code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2", "--p", "0.5",
+                          "--replicas", "1", "--eta", "const:101")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("resource error:") and "1200 bytes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--d1", "1" + "0" * 160, "--d2", "2"],
+    ["sweep", "--d1", "100000000000000000000", "--d2", "2", "--p", "0.5", "--replicas", "1"],
+])
+def test_oversized_degree_exits_two(capsys, argv):
+    # past the float range bounds used to die in an OverflowError, and past
+    # the int32 range sweep in numpy's "high is out of bounds for int32"
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: d1 must be an integer in [1, 2147483646]")
+
+
 def test_sweep_rejects_bad_grid(capsys):
     code, _, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2",
                         "--p", "1.5", "--replicas", "5")

@@ -222,11 +222,28 @@ def test_wide_dict_keys_pass_the_int32_range():
     assert back.tolist() == [v]
 
 
+def test_frog_byte_bound_raises_before_allocating(monkeypatch):
+    per_frog = 4 + 8  # an int32 position and a float64 survival uniform
+    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", 100 * per_frog)
+    cfg = SimConfig(tree=T22, law=Constant(100), p=0.0, horizon=400, awake_cap=10**6)
+    assert run_frog(cfg).max_awake == 100  # a root of 100 frogs fits
+    with pytest.raises(SimResourceError, match=f"{100 * per_frog} bytes"):
+        run_frog(dataclasses.replace(cfg, law=Constant(101)))
+    # a run from one frog passes the bound on the step that wakes the 101st
+    grow = dataclasses.replace(cfg, law=Constant(1), p=1.0)
+    with pytest.raises(SimResourceError, match=f"{100 * per_frog} bytes"):
+        run_frog(grow)
+    # each step at most doubles the frogs, so a cap of 50 stops the run within the bound
+    out = run_frog(dataclasses.replace(grow, awake_cap=50))
+    assert out.censor_reason == "awake_cap" and out.max_awake <= 100
+
+
 #: (d1, d2), law, p, seed -> SimOutcome fields of replicas 0..3 at horizon
 #: 400 and awake_cap 3,000, recorded before the dense store became a flat
-#: neighbor table; T(3,100) takes the dict store
+#: neighbor table (the const:2 cases before run_frog skipped np.repeat for
+#: vertices that wake one frog each); T(3,100) takes the dict store
 _PINNED_LAWS = {"const:1": Constant(1), "Poisson(1)": Poisson(1.0),
-                "Bernoulli(0.6)": Bernoulli(0.6)}
+                "Bernoulli(0.6)": Bernoulli(0.6), "const:2": Constant(2)}
 _PINNED = {
     ((2, 2), "const:1", 0.7, 0): [
         (False, 6, None, 2, 3), (False, 6, None, 6, 8),
@@ -324,6 +341,38 @@ _PINNED = {
         (True, None, "awake_cap", 3660, 7927), (False, 0, None, 0, 1),
         (True, None, "awake_cap", 4097, 8745), (False, 1, None, 1, 2),
     ],
+    ((2, 2), "const:2", 0.5, 3): [
+        (False, 7, None, 12, 11), (False, 0, None, 2, 1),
+        (False, 25, None, 21, 53), (False, 3, None, 6, 4),
+    ],
+    ((2, 2), "const:2", 0.7, 3): [
+        (True, None, "awake_cap", 3067, 3147), (False, 0, None, 2, 1),
+        (True, None, "awake_cap", 3223, 3197), (True, None, "awake_cap", 3008, 2966),
+    ],
+    ((2, 3), "const:2", 0.5, 13): [
+        (False, 22, None, 12, 44), (False, 0, None, 2, 1),
+        (False, 1, None, 3, 2), (False, 7, None, 7, 9),
+    ],
+    ((2, 3), "const:2", 0.7, 13): [
+        (True, None, "awake_cap", 4027, 3577), (False, 0, None, 2, 1),
+        (True, None, "awake_cap", 3285, 2852), (True, None, "awake_cap", 3493, 2970),
+    ],
+    ((1, 2), "const:2", 0.5, 23): [
+        (False, 12, None, 7, 13), (False, 0, None, 2, 1),
+        (False, 2, None, 6, 4), (False, 0, None, 2, 1),
+    ],
+    ((1, 2), "const:2", 0.7, 23): [
+        (True, None, "awake_cap", 3310, 7621), (True, None, "awake_cap", 3471, 7173),
+        (True, None, "awake_cap", 3591, 7539), (True, None, "awake_cap", 3069, 6511),
+    ],
+    ((3, 100), "const:2", 0.5, 33): [
+        (False, 2, None, 6, 4), (True, None, "awake_cap", 3858, 4927),
+        (False, 1, None, 3, 2), (True, None, "awake_cap", 4070, 5276),
+    ],
+    ((3, 100), "const:2", 0.7, 33): [
+        (True, None, "awake_cap", 4062, 2774), (True, None, "awake_cap", 3325, 2299),
+        (False, 1, None, 3, 2), (True, None, "awake_cap", 5699, 3819),
+    ],
 }
 
 
@@ -344,6 +393,46 @@ def test_run_frog_outcomes_at_default_caps_are_pinned():
            for r in (0, 4)]
     assert got == [(True, None, "awake_cap", 103401, 371736),
                    (True, None, "awake_cap", 108041, 388448)]
+
+
+def _run_frog_reference(config):
+    """run_frog's step loop as it was before its copies were cut: a fresh
+    uniform array per step, boolean-mask subscripts and np.repeat for every
+    waking; the oracle that run_frog must match field for field."""
+    p, law, tree = config.p, config.law, config.tree
+    rng = sim._stream(config.seed, config.replica_index)
+    table = sim._TreeTable(tree)
+    pos = np.zeros(int(law.sample(rng, 1)[0]), dtype=np.int32)
+    max_awake = pos.size
+    for now in range(config.horizon):
+        pos = pos[rng.random(pos.size) < p]
+        if pos.size:
+            deg = tree.d2 + 1 if now % 2 else tree.d1 + 1
+            slot = rng.integers(0, deg, size=pos.size, dtype=np.int32)
+            targets, fresh = table.move(pos, slot)
+            counts = law.sample(rng, fresh.size) if fresh.size else np.zeros(0, np.int64)
+            pos = np.concatenate([targets, np.repeat(fresh, counts)])
+        if pos.size == 0:
+            return SimOutcome(False, now, None, max_awake, table.n)
+        max_awake = max(max_awake, pos.size)
+        if pos.size > config.awake_cap:
+            return SimOutcome(True, None, "awake_cap", max_awake, table.n)
+    return SimOutcome(True, None, "horizon", max_awake, table.n)
+
+
+_ORACLE_LAWS = [Constant(1), Constant(2), Poisson(1.0), Bernoulli(0.6), Geometric(0.4)]
+
+
+@given(tree=st.sampled_from([TreeParams(1, 2), T23, T3_100]),
+       law=st.sampled_from(_ORACLE_LAWS), p=st.floats(0.0, 1.0),
+       horizon=st.integers(1, 80), awake_cap=st.integers(1, 400),
+       seed=st.integers(0, 2 ** 32), replica=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_run_frog_matches_the_reference_step_loop(tree, law, p, horizon, awake_cap,
+                                                  seed, replica):
+    cfg = SimConfig(tree=tree, law=law, p=p, horizon=horizon, awake_cap=awake_cap,
+                    seed=seed, replica_index=replica)
+    assert run_frog(cfg) == _run_frog_reference(cfg)
 
 
 # --- tree stores against the tuple-address oracle ---------------------------

@@ -42,6 +42,10 @@ def test_params_validation():
         TreeParams(0, 2)
     with pytest.raises(ValueError):
         TreeParams(2, -1)
+    # d + 1 neighbor slots must fit the simulator's int32 slot draw
+    assert TreeParams(2 ** 31 - 2, 2).stride == 2 ** 31 - 1
+    with pytest.raises(ValueError, match="2147483646"):
+        TreeParams(2, 2 ** 31 - 1)
 
 
 @pytest.mark.parametrize("ends,low_in,high_in", [
