@@ -14,9 +14,9 @@ ids, frog positions and jump slots are int32: ids stay below
 ACTIVATED_HARD_CAP, and the byte bound on the neighbor table keeps every
 flat index into it below 2**31.  A step makes few copies: the survival
 uniforms fill a view of one buffer per run, survivors are kept by
-compress, the store gathers with take, and a waking in which every fresh
-vertex holds one frog appends the fresh ids without np.repeat.  The
-positions and that buffer stay within FROG_ARRAY_BYTES.
+compress, and the store gathers with take.  A step's frog arrays (the
+positions, that buffer and the step's temporaries) stay within
+FROG_ARRAY_BYTES.
 
 The coupled sweep is time-free: a replica survives at p when its
 activation cluster (the root, and every vertex a walk from an awake
@@ -57,15 +57,20 @@ DENSE_CHILD_LIMIT = 64
 ACTIVATED_HARD_CAP = 10 ** 7
 #: largest dense store (its neighbor table), in bytes, that _TreeTable allocates
 DENSE_TABLE_BYTES = 1 << 30
-#: largest frog arrays, in bytes, that run_frog allocates: the awake frogs'
-#: positions and the buffer of their survival uniforms
+#: largest frog arrays, in bytes, that a run_frog step holds at once: the
+#: awake frogs' positions, the buffer of their survival uniforms and the
+#: step's per-frog temporaries
 FROG_ARRAY_BYTES = 1 << 30
 _MAX_WALK_STEPS = 10 ** 6
 #: dtype of run_frog's vertex ids, positions and flat neighbor-table indices
 _VID = np.dtype(np.int32)
 _EMPTY = np.empty(0, dtype=_VID)
-#: bytes per awake frog: an int32 position and a float64 survival uniform
-_FROG_ITEMSIZE = _VID.itemsize + np.dtype(np.float64).itemsize
+#: bytes per awake frog at a step's peak: the int32 position and slot, up
+#: to two float64 uniforms in the buffer, and move's temporaries, largest in
+#: the dict store, whose keys pass through Python ints (tracemalloc peaks
+#: inside move, the store's own growth left out: at most 33 bytes a mover
+#: for the dense table, 128 for the dict store)
+_FROG_ITEMSIZE = 160
 
 
 class SimResourceError(RuntimeError):
@@ -255,11 +260,7 @@ def run_frog(config: SimConfig) -> SimOutcome:
                 counts = law.sample(rng, fresh.size)
                 woken = int(counts.sum())
                 _check_frog_count(survivors + woken)
-                # one frog on every fresh vertex (always so at const:1) needs no repeat
-                if woken == fresh.size and counts.min() == 1:
-                    pos = np.concatenate([targets, fresh])
-                else:
-                    pos = np.concatenate([targets, np.repeat(fresh, counts)])
+                pos = np.concatenate([targets, np.repeat(fresh, counts)])
             else:
                 pos = targets
         if pos.size != survivors + woken:

@@ -225,12 +225,13 @@ def test_sweep_resource_error_exits_one(capsys, monkeypatch):
 
 
 def test_sweep_frog_byte_bound_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", 1_200)  # 100 frogs
+    bound = 100 * sim._FROG_ITEMSIZE
+    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", bound)
     code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2", "--p", "0.5",
                           "--replicas", "1", "--eta", "const:101")
     assert code == 1
     assert out == ""
-    assert err.startswith("resource error:") and "1200 bytes" in err
+    assert err.startswith("resource error:") and f"{bound} bytes" in err
 
 
 @pytest.mark.parametrize("argv", [

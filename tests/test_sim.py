@@ -223,7 +223,7 @@ def test_wide_dict_keys_pass_the_int32_range():
 
 
 def test_frog_byte_bound_raises_before_allocating(monkeypatch):
-    per_frog = 4 + 8  # an int32 position and a float64 survival uniform
+    per_frog = sim._FROG_ITEMSIZE
     monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", 100 * per_frog)
     cfg = SimConfig(tree=T22, law=Constant(100), p=0.0, horizon=400, awake_cap=10**6)
     assert run_frog(cfg).max_awake == 100  # a root of 100 frogs fits
@@ -240,8 +240,8 @@ def test_frog_byte_bound_raises_before_allocating(monkeypatch):
 
 #: (d1, d2), law, p, seed -> SimOutcome fields of replicas 0..3 at horizon
 #: 400 and awake_cap 3,000, recorded before the dense store became a flat
-#: neighbor table (the const:2 cases before run_frog skipped np.repeat for
-#: vertices that wake one frog each); T(3,100) takes the dict store
+#: neighbor table (the const:2 cases before run_frog's step dropped its mask
+#: copies); T(3,100) takes the dict store
 _PINNED_LAWS = {"const:1": Constant(1), "Poisson(1)": Poisson(1.0),
                 "Bernoulli(0.6)": Bernoulli(0.6), "const:2": Constant(2)}
 _PINNED = {
@@ -397,8 +397,8 @@ def test_run_frog_outcomes_at_default_caps_are_pinned():
 
 def _run_frog_reference(config):
     """run_frog's step loop as it was before its copies were cut: a fresh
-    uniform array per step, boolean-mask subscripts and np.repeat for every
-    waking; the oracle that run_frog must match field for field."""
+    uniform array per step and boolean-mask subscripts; the oracle that
+    run_frog must match field for field."""
     p, law, tree = config.p, config.law, config.tree
     rng = sim._stream(config.seed, config.replica_index)
     table = sim._TreeTable(tree)
