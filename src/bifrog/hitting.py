@@ -94,7 +94,7 @@ def edge_open_prob(t: TreeParams, law: InitLaw, p: float, i: int, j: int, k: int
     vertex at distance k of type j]."""
     ea, eb = edge_exponents(i, j, k)
     a, b = hitting_pair(t, p)
-    return 1.0 - law.pgf(1.0 - a ** ea * b ** eb)
+    return law.cpgf(a ** ea * b ** eb)
 
 
 def _stream(*words: int) -> np.random.Generator:

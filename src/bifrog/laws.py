@@ -1,10 +1,12 @@
 """Laws for the number of sleeping frogs placed on each vertex.
 
-Every law exposes the probability generating function, the mean, point
-masses (P[eta = 0] is read off them), the activation probability
-q = P[eta >= 1], a vectorized sampler and its scalar twin draw (which
-reads the same random numbers), and the truncated tail mean E[eta; eta > m]
-used to certify series remainders.
+Every law exposes the probability generating function and its complement
+cpgf(z) = 1 - pgf(1 - z) in a closed form free of cancellation at small z
+(the chance that a vertex keeps a frog when each is kept with probability
+z), the mean, point masses (P[eta = 0] is read off them), the activation
+probability q = P[eta >= 1], a vectorized sampler and its scalar twin
+draw (which reads the same random numbers), and the truncated tail mean
+E[eta; eta > m] used to certify series remainders.
 Laws with eta == 0 almost surely are rejected: the process would be empty.
 """
 
@@ -31,6 +33,13 @@ class InitLaw:
 
     def pgf(self, s: float) -> float:
         raise NotImplementedError
+
+    def cpgf(self, z: float) -> float:
+        """1 - pgf(1 - z) for z in [0, 1].  The four laws here override it
+        with closed forms that keep full relative precision; this plain form,
+        left to a law defined elsewhere, is 0.0 once z is below about
+        1.1e-16."""
+        return 1.0 - self.pgf(1.0 - z)
 
     @property
     def mean(self) -> float:
@@ -72,6 +81,10 @@ class Constant(InitLaw):
     def pgf(self, s):
         return s ** self.k
 
+    def cpgf(self, z):
+        # log1p(-z) is -inf at z = 1, which math.log1p refuses
+        return 1.0 if z >= 1.0 else -math.expm1(self.k * math.log1p(-z))
+
     @property
     def mean(self):
         return float(self.k)
@@ -96,6 +109,9 @@ class Bernoulli(InitLaw):
 
     def pgf(self, s):
         return 1.0 - self.prob * (1.0 - s)
+
+    def cpgf(self, z):
+        return self.prob * z
 
     @property
     def mean(self):
@@ -128,6 +144,9 @@ class Poisson(InitLaw):
 
     def pgf(self, s):
         return math.exp(self.mu * (s - 1.0))
+
+    def cpgf(self, z):
+        return -math.expm1(-self.mu * z)
 
     @property
     def mean(self):
@@ -163,6 +182,9 @@ class Geometric(InitLaw):
 
     def pgf(self, s):
         return (1.0 - self.r) / (1.0 - self.r * s)
+
+    def cpgf(self, z):
+        return self.r * z / (1.0 - self.r + self.r * z)
 
     @property
     def mean(self):

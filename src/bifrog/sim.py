@@ -27,6 +27,9 @@ replica's critical value p_hat, the least p at which the woken total
 exceeds the cap, and survival at every p < 1 is p_hat < p.  That pass
 moves one frog at a time in a loop that owns the replica's tree, with
 each walk a plain tuple; _Realization is the random environment alone.
+A walk-block read refills the one float buffer the realization owns, and
+the pass takes single words of it as Python floats, so a read is a
+counter reset and one fill, with no array or list made per read.
 Replicas run one after another in the calling thread.
 
 Randomness is Philox counter-based, and every stream comes from
@@ -55,7 +58,8 @@ from .tree import TreeParams, _check_int, _check_real
 
 DENSE_CHILD_LIMIT = 64
 ACTIVATED_HARD_CAP = 10 ** 7
-#: largest dense store (its neighbor table), in bytes, that _TreeTable allocates
+#: largest dense store, in bytes, that _TreeTable holds at once: its neighbor
+#: table, and while the table grows the old and the new table together
 DENSE_TABLE_BYTES = 1 << 30
 #: largest frog arrays, in bytes, that a run_frog step holds at once: the
 #: awake frogs' positions, the buffer of their survival uniforms and the
@@ -112,7 +116,8 @@ class _TreeTable:
     child is unvisited (so the table grows by zero pages), and a move is
     one gather; the parent slot is written when the vertex is created.
     The table and its keys are int32 too: the table never outgrows
-    DENSE_TABLE_BYTES, so a key is below DENSE_TABLE_BYTES / 4 entries,
+    DENSE_TABLE_BYTES (while it grows, the old and the new table count
+    together), so a key is below DENSE_TABLE_BYTES / 4 entries,
     which the constructor checks is at most 2**31.  Wider trees keep a
     flat parent array and a dict from the key of each child edge, an int64
     key since it passes 2**31 on wide trees.  No level parity is stored:
@@ -143,11 +148,12 @@ class _TreeTable:
             return
         new_cap = min(max(need, 2 * cap), ACTIVATED_HARD_CAP)
         if self.dense:
-            fit = DENSE_TABLE_BYTES // (self.stride * self.nbr.itemsize)
+            # the old table stays alive while _extended copies it
+            fit = (DENSE_TABLE_BYTES - self.nbr.nbytes) // (self.stride * self.nbr.itemsize)
             if need > fit:
                 raise SimResourceError(
-                    f"the neighbor table of {need} vertices would exceed "
-                    f"{DENSE_TABLE_BYTES} bytes; lower the horizon or awake_cap")
+                    f"growing the neighbor table to {need} vertices would hold more "
+                    f"than {DENSE_TABLE_BYTES} bytes; lower the horizon or awake_cap")
             self.nbr = _extended(self.nbr, min(new_cap, fit) * self.stride)
         else:
             self.parent = _extended(self.parent, new_cap)
@@ -351,7 +357,10 @@ class _Realization:
     and a frog's lifetime and jump uniforms with purpose _PUR_WALK, in
     blocks of _BLOCK_PAIRS pairs that are consecutive pieces of one
     stream.  Every read first resets the counter in _seek, the one writer
-    of the replica's Philox state.
+    of the replica's Philox state.  walk_block fills one float64 buffer,
+    buf, of 2 * _BLOCK_PAIRS words in place and returns it: its words hold
+    until the next walk_block, so a caller that keeps a block copies it
+    (an eta read leaves buf alone).
     """
 
     def __init__(self, config: SimConfig, replica: int):
@@ -362,6 +371,7 @@ class _Realization:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
         self._counter = self._state["state"]["counter"]
+        self.buf = np.empty(2 * _BLOCK_PAIRS)
         law = self.law = config.law
         top = law.support_max
         self.const = top if top is not None and law.pmf(top) == 1.0 else None
@@ -377,12 +387,14 @@ class _Realization:
         self._seek(key, 0, _PUR_ETA, 0)
         return self.law.draw(self.gen)
 
-    def walk_block(self, key: int, frog: int, block: int) -> list:
-        """Uniforms of steps block * _BLOCK_PAIRS onward: the lifetime
-        uniform of step i of the block at i, its jump uniform at
-        _BLOCK_PAIRS + i."""
+    def walk_block(self, key: int, frog: int, block: int) -> np.ndarray:
+        """Uniforms of steps block * _BLOCK_PAIRS onward, in buf: the
+        lifetime uniform of step i of the block at i, its jump uniform at
+        _BLOCK_PAIRS + i.  They hold until the next read."""
         self._seek(key, frog, _PUR_WALK, block * (_BLOCK_PAIRS // 2))
-        return self.gen.random(2 * _BLOCK_PAIRS).tolist()
+        # random(out=) reads the same stream as random(2 * _BLOCK_PAIRS)
+        self.gen.random(out=self.buf)
+        return self.buf
 
 
 def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
@@ -404,11 +416,15 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     """
     real = _Realization(config, replica)
     eta, walk_block, const = real.eta, real.walk_block, real.const
+    # every block read refills real.buf in place; item(i) is word i as a float
+    item = real.buf.item
     t = config.tree
     degs, stride = (t.d1 + 1, t.d2 + 1), t.stride
     parent, child, rng_key = [-1], {}, [0]
     push, cap = heapq.heappush, config.awake_cap
     pairs, max_steps, hard_cap = _BLOCK_PAIRS, _MAX_WALK_STEPS, ACTIVATED_HARD_CAP
+    # blocks below `full` end before the step guard, so they stop at pairs
+    full = max_steps // pairs
     total = eta(0)
     if total == 0 or p_max <= 0.0:
         return math.inf, total >= 1
@@ -421,26 +437,28 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     while True:
         while ready:
             key, frog, block, i, pos, odd = ready.pop()
-            u = walk_block(key, frog, block)
-            stop = min(pairs, max_steps - block * pairs)
+            walk_block(key, frog, block)
+            stop = pairs if block < full else min(pairs, max_steps - block * pairs)
             while True:
                 if i == stop:
                     if i == pairs:
                         block, i = block + 1, 0
-                        u = walk_block(key, frog, block)
-                        stop = min(pairs, max_steps - block * pairs)
-                    if i == stop and u[i] <= level:
+                        walk_block(key, frog, block)
+                        stop = pairs if block < full else min(pairs, max_steps - block * pairs)
+                    if i == stop and item(i) <= level:
                         raise SimResourceError(
                             f"a walk exceeded {max_steps} steps below p_max; lower p_max")
-                life = u[i]
+                life = item(i)
                 if life > level:
-                    # a parked walk is rarely resumed (about 10 resumes per
-                    # replica at T(2,2), const:1, cap 2000), so it drops its
-                    # uniforms; p_hat ignores the order of a tie on life
-                    push(heap, (life, (key, frog, block, i, pos, odd)))
+                    # a parked walk holds no uniforms, since the next read
+                    # overwrites the buffer; it is rarely resumed (about 11
+                    # pops per replica at T(2,2), const:1, cap 2000) and then
+                    # re-reads its block.  A tie on life falls to the walk's
+                    # fields in order; p_hat ignores the order of a tie
+                    push(heap, (life, key, frog, block, i, pos, odd))
                     break
                 # u <= 1 - 2**-53 rounds u * deg below deg for every deg < 2**53
-                slot = int(u[pairs + i] * degs[odd])
+                slot = int(item(pairs + i) * degs[odd])
                 odd ^= 1
                 i += 1
                 if pos and not slot:
@@ -468,10 +486,11 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
                 elif k:
                     ready.extend([(vkey, f, 0, 0, pos, odd) for f in range(k)])
         # every walk is parked here: none ends, since lifetime uniforms are < 1
-        level, walk = heapq.heappop(heap)
+        walk = heapq.heappop(heap)
+        level = walk[0]
         if level >= p_max:
             return math.inf, True
-        ready.append(walk)
+        ready.append(walk[1:])
 
 
 @dataclass(frozen=True)
@@ -655,8 +674,8 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
     y in range(x) (some frog's walk visits y) and y in ball(x) (some
     frog's lifetime reaches k).  The walk cannot visit y without making k
     jumps, so range containment in ball is checked pathwise; the ball
-    estimate is checked against 1 - pgf(1 - p^k) and the range estimate
-    against edge_open_prob.
+    estimate is checked against cpgf(p^k) = 1 - pgf(1 - p^k) and the range
+    estimate against edge_open_prob.
     """
     p = _check_p(p)
     k = _check_int("k", k, 1, math.inf)
@@ -682,4 +701,4 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
         range_prob=r_est.prob, range_se=r_est.stderr,
         range_ref=edge_open_prob(t, law, p, start_type, end_type, k),
         ball_prob=b_est.prob, ball_se=b_est.stderr,
-        ball_ref=1.0 - law.pgf(1.0 - p ** k))
+        ball_ref=law.cpgf(p ** k))

@@ -8,6 +8,7 @@ Carlo of the killed walk.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from bifrog.hitting import (
     mc_hit_neighbor,
     system_residuals,
 )
-from bifrog.laws import Bernoulli, Constant, Poisson
+from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
 from bifrog.sim import mc_range_vs_disk
 from bifrog.tree import TreeParams
 
@@ -152,6 +153,37 @@ def test_edge_open_prob_definition():
             want = 1.0 - law.pgf(1.0 - a**ea * b**eb)
             got = edge_open_prob(t, law, p, i, j, k)
             assert abs(got - want) < 1e-14
+
+
+def _mp_pgf(law, s):
+    """law's pgf at an mpmath s, from its definition."""
+    if isinstance(law, Constant):
+        return s ** law.k
+    if isinstance(law, Bernoulli):
+        return 1 - law.prob * (1 - s)
+    if isinstance(law, Poisson):
+        return mpmath.exp(law.mu * (s - 1))
+    return (1 - law.r) / (1 - law.r * s)
+
+
+@pytest.mark.parametrize("law", [Constant(1), Constant(3), Bernoulli(0.4), Poisson(1.0),
+                                 Geometric(0.5)], ids=repr)
+def test_edge_open_prob_keeps_relative_precision(law):
+    # 1 - pgf(1 - z) in floats is 0.0 below z ~ 1.1e-16, which k = 20 at
+    # p = 0.5 already passes; the reference works at enough digits for z
+    t = TreeParams(2, 3)
+    for p in (0.5, 0.9):
+        a, b = hitting_pair(t, p)
+        for k in range(1, 201):
+            for i in (1, 2):
+                j = i if k % 2 == 0 else 3 - i
+                ea, eb = edge_exponents(i, j, k)
+                z = mpmath.mpf(a) ** ea * mpmath.mpf(b) ** eb
+                with mpmath.workdps(40 - int(mpmath.log10(z))):
+                    want = 1 - _mp_pgf(law, 1 - z)
+                    got = edge_open_prob(t, law, p, i, j, k)
+                    assert abs(got - want) <= 1e-12 * want, (p, k, i, j)
+    assert edge_open_prob(t, Poisson(1.0), 0.5, 1, 1, 20) == pytest.approx(4.78e-17, rel=1e-3)
 
 
 def test_edge_open_prob_monotone_in_distance():

@@ -86,6 +86,19 @@ def test_sample_frequencies_match_pmf(law):
         assert abs(emp - law.pmf(k)) < 0.01
 
 
+@pytest.mark.parametrize("law", ALL_LAWS, ids=describe_law)
+def test_cpgf_is_one_minus_pgf_without_cancellation(law):
+    # where 1 - pgf(1 - z) loses nothing to rounding the two agree, at z = 1
+    # it is q, and at tiny z it is mean * z to first order
+    for z in (1e-3, 0.1, 0.5, 0.9):
+        assert abs(law.cpgf(z) - (1.0 - law.pgf(1.0 - z))) < 1e-14
+    assert law.cpgf(0.0) == 0.0
+    assert abs(law.cpgf(1.0) - law.q) < 1e-15
+    for z in (1e-300, 1e-100, 1e-17):
+        assert law.cpgf(z) == pytest.approx(law.mean * z, rel=1e-12)
+        assert 1.0 - law.pgf(1.0 - z) == 0.0
+
+
 def test_pgf_is_monotone_and_convex_on_unit_interval():
     s = np.linspace(0.0, 1.0, 41)
     for law in ALL_LAWS:

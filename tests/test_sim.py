@@ -154,15 +154,17 @@ def test_wide_tree_uses_sparse_children():
 
 def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
     size = sim._TreeTable(T22).nbr.itemsize
-    # at stride 3 the bound never binds before the vertex cap does
-    assert sim.DENSE_TABLE_BYTES >= sim.ACTIVATED_HARD_CAP * 3 * size
-    bound = 2_000 * 3 * size  # 2,000 vertices of T(2,2)
+    # at stride 3 the bound never binds before the vertex cap does, though a
+    # growth to the cap holds the old table beside the new one
+    assert sim.DENSE_TABLE_BYTES >= 2 * sim.ACTIVATED_HARD_CAP * 3 * size
+    bound = 3_000 * 3 * size  # 3,000 vertices of T(2,2)
     monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
     table = sim._TreeTable(T22)
-    table._grow(1_500)  # doubling would ask for 2,048 vertices
-    assert table.nbr.nbytes == bound
+    # doubling would ask for 2,048 vertices beside the first table's 1,024
+    table._grow(1_500)
+    assert table.nbr.nbytes == bound - 1_024 * 3 * size
     with pytest.raises(SimResourceError, match="bytes"):
-        table._grow(2_001)
+        table._grow(1_977)
     cfg = SimConfig(tree=T22, law=Constant(1), p=1.0, horizon=10_000,
                     awake_cap=10**6, seed=0)
     with pytest.raises(SimResourceError, match="bytes"):
@@ -176,12 +178,39 @@ def test_dense_store_stays_within_the_byte_bound(monkeypatch):
     bound = 1 << 16
     monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
     table = sim._TreeTable(T22)
-    fit = bound // (table.stride * table.nbr.itemsize)
+    row = table.stride * table.nbr.itemsize
+    # one growth from the first 1,024 rows takes what the bound leaves
+    # beside them, the largest table the store reaches from there
+    fit = bound // row - 1_024
     table._add(np.zeros(fit - 1, dtype=table.nbr.dtype))  # ids 1..fit-1
     assert table.n == fit
     # every array the dense store holds counts against the bound
     held = [a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray)]
     assert sum(held) <= bound
+    with pytest.raises(SimResourceError, match="bytes"):
+        table._add(np.zeros(1, dtype=table.nbr.dtype))
+
+
+def test_dense_store_growth_peak_stays_within_the_byte_bound(monkeypatch):
+    # the old table is alive while the new one is filled, so the bound must
+    # cover both: tracemalloc sees numpy's data allocations
+    bound = 1 << 20
+    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
+    tracemalloc.start()
+    try:
+        table = sim._TreeTable(T22)
+        with pytest.raises(SimResourceError, match="bytes"):
+            for need in range(1_025, bound):
+                table._grow(need)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the tables reach 54,613 rows, 62% of the bound, beside the old ones
+    assert table.nbr.nbytes > bound // 2
+    # 4 KiB for the Python objects made on the way (the store, array
+    # headers, slices, the raised error); without the old table in the
+    # bound the peak reads 1.75 times the bound
+    assert peak <= bound + 4096
 
 
 def test_int32_index_range_raises_before_allocating(monkeypatch):
@@ -595,7 +624,8 @@ def test_coupled_sweep_certain_survival_at_p_one():
 class _AddressRealization:
     """The pass's random environment read by tuple address: a vertex's RNG
     key is _child_key folded along its address, and keys, etas and walk
-    blocks are memoized, so one realization serves many p."""
+    blocks are memoized, so one realization serves many p; a block is kept
+    as a list, since every read refills the realization's one buffer."""
 
     def __init__(self, config, replica):
         self.tree = config.tree
@@ -617,7 +647,7 @@ class _AddressRealization:
     def walk_block(self, key, frog, block):
         k = (key, frog, block)
         if k not in self._blocks:
-            self._blocks[k] = self.real.walk_block(*k)
+            self._blocks[k] = self.real.walk_block(*k).tolist()
         return self._blocks[k]
 
 
@@ -780,7 +810,29 @@ def test_walk_blocks_are_one_philox_stream():
     stream = fresh.random(6 * sim._BLOCK_PAIRS).tolist()
     for block in (2, 0, 1):
         lo = 2 * sim._BLOCK_PAIRS * block
-        assert real.walk_block(0, frog, block) == stream[lo:lo + 2 * sim._BLOCK_PAIRS]
+        assert real.walk_block(0, frog, block).tolist() == stream[lo:lo + 2 * sim._BLOCK_PAIRS]
+
+
+def test_walk_block_reads_survive_an_eta_read_between_them():
+    """Each read seeks its own counter and refills the one buffer, so an eta
+    draw between reads (a Poisson law resets the counter and draws) moves
+    nothing, and a read is valid until the next one."""
+    cfg = SimConfig(tree=T23, law=Poisson(1.0), p=0.5, seed=46)
+    real = sim._Realization(cfg, 2)
+    key, frog, words = sim._child_key(0, 1), 3, 2 * sim._BLOCK_PAIRS
+    held = []
+    for block in (2, 0, 1):
+        got = real.walk_block(key, frog, block)
+        assert got is real.buf
+        fresh = np.random.Generator(np.random.Philox(
+            counter=[block * (sim._BLOCK_PAIRS // 2), frog, sim._PUR_WALK, key],
+            key=np.array(real.key, dtype=np.uint64)))
+        assert got.tolist() == fresh.random(words).tolist()
+        held.append(got.tolist())
+        real.eta(sim._child_key(key, block))
+        assert real.buf.tolist() == held[-1]
+    # distinct blocks, each served by the same buffer in turn
+    assert len({tuple(h) for h in held}) == 3
 
 
 def test_long_walk_raises_resource_error(monkeypatch):
@@ -977,6 +1029,14 @@ def test_mc_range_vs_disk_ball_reference_is_lifetime_tail():
     law = Poisson(1.3)
     rep = mc_range_vs_disk(T22, law, 0.5, k=2, trials=2_000, seed=23)
     assert abs(rep.ball_ref - (1.0 - law.pgf(1.0 - 0.25))) < 1e-12
+
+
+def test_mc_range_vs_disk_references_keep_relative_precision():
+    # p^k = 1e-20: 1 - pgf(1 - p^k) would read 0.0 for both references
+    law = Poisson(1.0)
+    rep = mc_range_vs_disk(T23, law, 0.1, k=20, trials=10)
+    assert rep.ball_ref == pytest.approx(1e-20, rel=1e-12)
+    assert 0.0 < rep.range_ref < rep.ball_ref
 
 
 def test_mc_range_vs_disk_range_reference_is_edge_open():
