@@ -48,8 +48,8 @@ ROOT_TOL = 1e-12
 _BRACKET = (1e-9, 1.0 - 1e-9)
 #: halvings that take the bracket width below ROOT_TOL
 _BISECT_STEPS = math.ceil(math.log2((_BRACKET[1] - _BRACKET[0]) / ROOT_TOL))
-#: disk_mean_offspring sums shells k <= _DISK_K_MAX and frog counts i <= _DISK_I_MAX
-_DISK_K_MAX, _DISK_I_MAX = 400, 256
+#: disk_mean_offspring sums shells k <= _DISK_K_MAX
+_DISK_K_MAX = 400
 
 
 class NoRootError(ValueError):
@@ -168,31 +168,28 @@ def ub_closed(t: TreeParams) -> float:
 class DiskSeries:
     """Truncated mean offspring of the activation-ball process.
 
-    value is the partial sum over shell radius k <= k_terms and frog count
-    i <= i_terms; remainder is a certified upper bound on everything cut
-    off, so value + remainder brackets the true mean from above.
+    value is the partial sum over shell radii k <= _DISK_K_MAX; remainder
+    is a certified upper bound on the shells cut off, so value + remainder
+    brackets the true mean from above.
     """
 
     value: float
     remainder: float
-    k_terms: int
-    i_terms: int
 
 
 def disk_mean_offspring(law: InitLaw, big_d: int, p: float) -> DiskSeries:
     """Mean number of vertices whose lifetime-ball covers a fixed vertex.
 
     The series sums (big_d+1) big_d^{k-1} P[ball radius >= k] over shells
-    k >= 1, where P[ball radius >= k] = sum_i rho_i (1 - (1 - p^k)^i).
+    k >= 1, where P[ball radius >= k] = law.cpgf(p^k).  Since cpgf(z) <=
+    mean * z, the shells past the last one summed add at most
+    mean (big_d+1) p^{k+1} big_d^k / (1 - big_d p).
     Requires big_d * p < 1, otherwise the series diverges.
     """
     big_d = _check_int("big_d", big_d, 1, math.inf)
     p = _check_p(p)
     if big_d * p >= 1.0:
         raise ValueError(f"series needs p < 1/big_d = {1 / big_d:.6g}, got p = {p:g}")
-    i_max = min(_DISK_I_MAX, law.support_max or _DISK_I_MAX)
-    masses = [law.pmf(i) for i in range(1, i_max + 1)]
-
     total = 0.0
     shell = float(big_d + 1)
     k_done = 0
@@ -200,17 +197,11 @@ def disk_mean_offspring(law: InitLaw, big_d: int, p: float) -> DiskSeries:
         pk = p ** k
         if pk == 0.0:
             break
-        lg = math.log1p(-pk)
-        inner = math.fsum(rho * -math.expm1(i * lg)
-                          for i, rho in enumerate(masses, start=1) if rho > 0.0)
-        total += shell * inner
+        total += shell * law.cpgf(pk)
         shell *= big_d
         k_done = k
     geom = (big_d + 1) * p / (1.0 - big_d * p)
-    k_tail = law.mean * geom * (big_d * p) ** k_done
-    i_tail = geom * law.tail_mean(i_max)
-    return DiskSeries(value=total, remainder=k_tail + i_tail,
-                      k_terms=k_done, i_terms=i_max)
+    return DiskSeries(value=total, remainder=law.mean * geom * (big_d * p) ** k_done)
 
 
 @dataclass(frozen=True)

@@ -118,11 +118,19 @@ def _mc_estimate(hits: int, trials: int) -> McEstimate:
     return McEstimate(prob=prob, stderr=stderr, trials=trials)
 
 
+#: the escape radius at p = 1, and its cap at every p
+_ESCAPE_RADIUS_MAX = 300
+
+
 def _auto_escape_radius(p: float) -> int:
+    # beyond this distance the walk would need p^radius luck to matter; a
+    # return from distance r only gets likelier as p grows, so p = 1's radius
+    # bounds the escape error at every p: (alpha beta)^150 ~ 7e-46 on T(1,2)
     if p >= 1.0:
-        return 300
-    # beyond this distance the walk would need p^radius luck to matter
-    return max(64, int(math.ceil(math.log(1e-15) / math.log(p))) if p > 0 else 64)
+        return _ESCAPE_RADIUS_MAX
+    if p <= 0.0:
+        return 64
+    return min(_ESCAPE_RADIUS_MAX, max(64, math.ceil(math.log(1e-15) / math.log(p))))
 
 
 _CHAIN_STEP_CAP = 10 ** 6

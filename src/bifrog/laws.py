@@ -4,9 +4,8 @@ Every law exposes the probability generating function and its complement
 cpgf(z) = 1 - pgf(1 - z) in a closed form free of cancellation at small z
 (the chance that a vertex keeps a frog when each is kept with probability
 z), the mean, point masses (P[eta = 0] is read off them), the activation
-probability q = P[eta >= 1], a vectorized sampler and its scalar twin
-draw (which reads the same random numbers), and the truncated tail mean
-E[eta; eta > m] used to certify series remainders.
+probability q = P[eta >= 1], and a vectorized sampler with its scalar
+twin draw (which reads the same random numbers).
 Laws with eta == 0 almost surely are rejected: the process would be empty.
 """
 
@@ -58,10 +57,6 @@ class InitLaw:
     def pmf(self, k: int) -> float:
         raise NotImplementedError
 
-    def tail_mean(self, m: int) -> float:
-        """E[eta; eta > m], exact."""
-        raise NotImplementedError
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -92,9 +87,6 @@ class Constant(InitLaw):
     def pmf(self, k):
         return 1.0 if k == self.k else 0.0
 
-    def tail_mean(self, m):
-        return float(self.k) if m < self.k else 0.0
-
     def sample(self, rng, size):
         return np.full(size, self.k, dtype=np.int64)
 
@@ -123,9 +115,6 @@ class Bernoulli(InitLaw):
         if k == 1:
             return self.prob
         return 0.0
-
-    def tail_mean(self, m):
-        return self.prob if m < 1 else 0.0
 
     def sample(self, rng, size):
         return (rng.random(size) < self.prob).astype(np.int64)
@@ -157,13 +146,6 @@ class Poisson(InitLaw):
             return 0.0
         return math.exp(k * math.log(self.mu) - self.mu - math.lgamma(k + 1))
 
-    def tail_mean(self, m):
-        # E[X; X > m] = mu P[X >= m] by the shift identity for Poisson
-        if m < 0:
-            return self.mu
-        cdf = math.fsum(self.pmf(k) for k in range(m))
-        return self.mu * max(0.0, 1.0 - cdf)
-
     def sample(self, rng, size):
         return rng.poisson(self.mu, size).astype(np.int64)
 
@@ -194,13 +176,6 @@ class Geometric(InitLaw):
         if k < 0:
             return 0.0
         return (1.0 - self.r) * self.r ** k
-
-    def tail_mean(self, m):
-        # sum_{k>m} k (1-r) r^k = r^{m+1} ((m+1) - m r) / (1 - r)
-        if m < 0:
-            return self.mean
-        r = self.r
-        return r ** (m + 1) * ((m + 1) - m * r) / (1.0 - r)
 
     def sample(self, rng, size):
         # numpy's geometric counts trials to first success on {1, 2, ...}

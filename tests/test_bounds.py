@@ -34,7 +34,7 @@ from bifrog.bounds import (
     ub_root,
     ub_root_n,
 )
-from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
+from bifrog.laws import Bernoulli, Constant, Poisson
 from bifrog.tree import TreeParams
 
 
@@ -279,10 +279,8 @@ def test_disk_series_certified_remainder_brackets_truth(monkeypatch):
     # truncating hard at small k_max must leave the truth inside
     # [value, value + remainder]
     law = Poisson(1.0)
-    monkeypatch.setattr(bounds, "_DISK_I_MAX", 512)
     full = disk_mean_offspring(law, 2, 0.3)
     monkeypatch.setattr(bounds, "_DISK_K_MAX", 4)
-    monkeypatch.setattr(bounds, "_DISK_I_MAX", 16)
     crude = disk_mean_offspring(law, 2, 0.3)
     truth = full.value
     assert crude.value <= truth + 1e-12
@@ -309,24 +307,29 @@ def test_disk_series_divergence_guard():
         disk_mean_offspring(Constant(1), 3, 1.0 / 3.0)
 
 
-def test_disk_series_respects_support_max(monkeypatch):
-    monkeypatch.setattr(bounds, "_DISK_I_MAX", 100)
+def test_disk_series_respects_support_max():
+    # a Bernoulli vertex holds at most one frog, so its ball is that frog's:
+    # P[>= k] = q p^k, series = q (D+1) p / (1 - D p)
     s = disk_mean_offspring(Bernoulli(0.5), 2, 0.3)
-    assert s.i_terms == 1
-    # Bernoulli ball: P[>= k] = q p^k, series = q (D+1) p / (1 - D p)
     want = 0.5 * 3 * 0.3 / (1.0 - 0.6)
     assert abs(s.value - want) < 1e-9
 
 
-def test_disk_series_unbounded_law_tail(monkeypatch):
-    assert bounds._DISK_K_MAX == 400 and bounds._DISK_I_MAX == 256
-    finer = disk_mean_offspring(Geometric(0.6), 2, 0.25)
-    monkeypatch.setattr(bounds, "_DISK_I_MAX", 64)
-    s = disk_mean_offspring(Geometric(0.6), 2, 0.25)
-    assert s.i_terms == 64
-    assert s.remainder > 0.0
-    assert finer.value >= s.value - 1e-12
-    assert finer.value <= s.value + s.remainder + 1e-12
+def test_disk_series_unbounded_law_tail():
+    # every mass of these laws lies far past any cut in the frog count; the
+    # series is summed directly from each law's closed form of
+    # P[ball >= k] = 1 - pgf(1 - p^k)
+    big_d, p = 2, 0.1
+    closed = {
+        Constant(1000): lambda z: -math.expm1(1000 * math.log1p(-z)),
+        Poisson(500.0): lambda z: -math.expm1(-500.0 * z),
+    }
+    for law, ball in closed.items():
+        s = disk_mean_offspring(law, big_d, p)
+        want = math.fsum((big_d + 1) * big_d ** (k - 1) * ball(p ** k)
+                         for k in range(1, 401) if p ** k > 0.0)
+        assert s.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert 0.0 <= s.remainder < 1e-200
 
 
 # --- asymptotics -------------------------------------------------------------

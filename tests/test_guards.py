@@ -11,7 +11,10 @@ stream from _stream too and reads the key back for _seek.  Integer
 inputs have one rule, tree._check_int, so nothing else in the package
 tests isinstance(_, int) or names __index__ or operator.index; real
 inputs have one rule, tree._check_real, so no other function in the
-package calls float() on one of its own parameters.
+package calls float() on one of its own parameters.  The complement
+1 - pgf(1 - z) has one home, InitLaw.cpgf, whose closed forms keep full
+precision at small z, so nothing else in the package calls a law's pgf
+method, where that complement could be formed again with cancellation.
 The count of settable values is pinned, so a change that adds or removes
 one must update SETTABLE_VALUES and say why.
 """
@@ -138,6 +141,24 @@ def test_only_check_int_tests_for_an_integer():
              for where in _sites(tree, _tests_for_an_integer)]
     # its operator.index
     assert found == ["tree.py:_check_int"]
+
+
+def _calls_pgf(node):
+    """A call of an attribute named pgf, as law.pgf(s); a pgf passed on as
+    a plain callable and called by its own name is not one."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pgf")
+
+
+def test_only_the_cpgf_fallback_calls_a_law_pgf():
+    probe = ast.parse("def f(law, z):\n    return 1.0 - law.pgf(1.0 - z)\n"
+                      "class A:\n    def g(self, pgf, law):\n"
+                      "        return pgf(0.5), T(law.pgf), self.pgf(0.5)\n")
+    assert _sites(probe, _calls_pgf) == ["f", "A.g"]
+    found = [f"{name}:{where}" for name, tree in _package_sources()
+             for where in _sites(tree, _calls_pgf)]
+    # the plain form left to a law defined elsewhere
+    assert found == ["laws.py:InitLaw.cpgf"]
 
 
 def _floats_a_parameter(node, where=(), params=frozenset()):

@@ -21,6 +21,7 @@ from bifrog.hitting import (
     system_residuals,
 )
 from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
+from bifrog.pathprob import PathOpenQuery, mc_path_open, path_open_prob
 from bifrog.sim import mc_range_vs_disk
 from bifrog.tree import TreeParams
 
@@ -209,6 +210,21 @@ def test_mc_hit_neighbor_p_one_hits_surely_for_d1():
     t = TreeParams(2, 2)
     est = mc_hit_neighbor(t, 1.0, start_type=1, trials=20_000, seed=3)
     assert abs(est.prob - 0.5) < 4.0 * max(est.stderr, 1e-6) + 1e-3
+
+
+def test_distance_chain_oracles_end_quickly_near_p_one():
+    # the escape radius is capped at its p = 1 value, so a walk that almost
+    # never dies is retired within a few hundred steps rather than millions
+    t, p, law = TreeParams(2, 2), 0.99999, Constant(1)
+    assert hitting._auto_escape_radius(p) == hitting._auto_escape_radius(1.0)
+    est = mc_hit_neighbor(t, p, start_type=1, trials=2_000, seed=1)
+    assert abs(est.prob - hitting_pair(t, p).alpha) < 4.0 * est.stderr
+    query = PathOpenQuery(1, 1, 2)
+    est = mc_path_open(query, t, law, p, trials=1_000, seed=1)
+    assert abs(est.prob - path_open_prob(query, t, law, p)) < 4.0 * est.stderr
+    rep = mc_range_vs_disk(t, law, p, k=2, trials=1_000, seed=1)
+    assert rep.range_ref == edge_open_prob(t, law, p, 1, 1, 2)
+    assert abs(rep.range_prob - rep.range_ref) < 4.0 * rep.range_se
 
 
 def test_distance_chain_raises_past_its_step_cap(monkeypatch):

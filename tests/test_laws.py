@@ -1,7 +1,7 @@
 """Tests for the initial-configuration laws.
 
 Every law is checked against brute-force summation of its pmf: the pgf,
-mean, p0, and truncated tail mean must all agree with direct numerics.
+mean and p0 must all agree with direct numerics.
 """
 
 import math
@@ -61,15 +61,6 @@ def test_mean_and_p0_match_pmf(law):
     assert abs(law.mean - float(np.sum(pk * ks))) < 1e-10
     assert abs(law.p0 - pk[0]) < 1e-15
     assert abs(law.q - (1.0 - pk[0])) < 1e-15
-
-
-@pytest.mark.parametrize("law", ALL_LAWS, ids=describe_law)
-def test_tail_mean_matches_direct_sum(law):
-    pk = _pmf_vector(law)
-    ks = np.arange(pk.size)
-    for m in (0, 1, 2, 5, 10):
-        direct = float(np.sum(pk[m + 1 :] * ks[m + 1 :]))
-        assert abs(law.tail_mean(m) - direct) < 1e-10
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=describe_law)
@@ -174,14 +165,6 @@ def test_parse_law_rejects_garbage():
     for text in ("", "const", "const:", "const:x", "gamma:1", "poisson:-1"):
         with pytest.raises(ValueError):
             parse_law(text)
-
-
-def test_poisson_tail_mean_complement():
-    # E[eta 1{eta > m}] = mu - E[eta 1{eta <= m}]
-    law = Poisson(1.3)
-    for m in range(6):
-        head = sum(k * law.pmf(k) for k in range(m + 1))
-        assert abs(law.tail_mean(m) - (law.mean - head)) < 1e-12
 
 
 def test_describe_law_is_informative():
