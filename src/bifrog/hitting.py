@@ -118,20 +118,10 @@ def _mc_estimate(hits: int, trials: int) -> McEstimate:
     return McEstimate(prob=prob, stderr=stderr, trials=trials)
 
 
-#: the escape radius at p = 1, and its cap at every p
-_ESCAPE_RADIUS_MAX = 300
-
-
-def _auto_escape_radius(p: float) -> int:
-    # beyond this distance the walk would need p^radius luck to matter; a
-    # return from distance r only gets likelier as p grows, so p = 1's radius
-    # bounds the escape error at every p: (alpha beta)^150 ~ 7e-46 on T(1,2)
-    if p >= 1.0:
-        return _ESCAPE_RADIUS_MAX
-    if p <= 0.0:
-        return 64
-    return min(_ESCAPE_RADIUS_MAX, max(64, math.ceil(math.log(1e-15) / math.log(p))))
-
+#: walkers farther than this from their target are retired as misses.  A
+#: return from distance r only gets likelier as p grows, so p = 1 bounds the
+#: error at every p: (alpha beta)^150 ~ 7e-46 on T(1,2)
+_ESCAPE_RADIUS = 300
 
 _CHAIN_STEP_CAP = 10 ** 6
 
@@ -146,10 +136,11 @@ def _distance_chain(rng: np.random.Generator, t: TreeParams, p: float,
     each, in index order), then each survivor steps toward the target with
     probability 1/deg of its vertex and away otherwise (one uniform each,
     in index order).  A walker stops on the target or beyond radius.
-    Returns (hit, jumps) per walker; RuntimeError if a walker is still
-    alive after _CHAIN_STEP_CAP steps.
+    Returns (closest, jumps) per walker: the least distance it reached (0
+    where it hit the target) and its number of steps; RuntimeError if a
+    walker is still alive after _CHAIN_STEP_CAP steps.
     """
-    hit = np.zeros(m.size, dtype=bool)
+    closest = m.copy()
     jumps = np.zeros(m.size, dtype=np.int64)
     idx = np.arange(m.size, dtype=np.int64)
     steps = 0
@@ -159,16 +150,16 @@ def _distance_chain(rng: np.random.Generator, t: TreeParams, p: float,
                                f"{_CHAIN_STEP_CAP} steps")
         keep = np.flatnonzero(rng.random(idx.size) < p)
         idx, m = idx.take(keep), m.take(keep)
+        steps += 1
         if idx.size:
             deg = np.where((parity + m) % 2 == 0, t.d1 + 1, t.d2 + 1)
             m = np.where(rng.random(idx.size) < 1.0 / deg, m - 1, m + 1)
-            jumps[idx] += 1
-            arrived = m == 0
-            hit[idx.compress(arrived)] = True
-            stay = np.flatnonzero(~arrived & (m <= radius))
+            jumps[idx] = steps
+            low = np.flatnonzero(m < closest.take(idx))
+            closest[idx.take(low)] = m.take(low)
+            stay = np.flatnonzero((m > 0) & (m <= radius))
             idx, m = idx.take(stay), m.take(stay)
-        steps += 1
-    return hit, jumps
+    return closest, jumps
 
 
 def mc_hit_neighbor(t: TreeParams, p: float, start_type: int, trials: int,
@@ -176,16 +167,16 @@ def mc_hit_neighbor(t: TreeParams, p: float, start_type: int, trials: int,
     """Monte Carlo estimate of alpha (start_type 1) or beta (start_type 2).
 
     Each trial is one walker at distance 1 from the target neighbor, run
-    through _distance_chain.  Walkers past _auto_escape_radius(p) are
-    retired as misses; at p = 1 this undercounts hits by a one-sided,
-    exponentially small amount (and is the only reason the walks end
-    there).
+    through _distance_chain; it hits where the least distance it reached
+    is 0.  Walkers past _ESCAPE_RADIUS are retired as misses; at p = 1 this
+    undercounts hits by a one-sided, exponentially small amount (and is
+    the only reason the walks end there).
     """
     p = _check_p(p)
     start_type = _check_int("start_type", start_type, 1, 2)
     trials = _check_int("trials", trials, 1, math.inf)
     # the neighbor has the other type: parity start_type - 1 + 1
-    hit, _ = _distance_chain(_stream(seed, 0x48495421), t, p,
-                             np.ones(trials, dtype=np.int64), start_type,
-                             _auto_escape_radius(p))
-    return _mc_estimate(int(hit.sum()), trials)
+    closest, _ = _distance_chain(_stream(seed, 0x48495421), t, p,
+                                 np.ones(trials, dtype=np.int64), start_type,
+                                 _ESCAPE_RADIUS)
+    return _mc_estimate(int(np.count_nonzero(closest == 0)), trials)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _check_q
-from .hitting import (McEstimate, _auto_escape_radius, _check_p, _mc_estimate, _stream,
-                      edge_exponents, hitting_pair)
+from .hitting import (_ESCAPE_RADIUS, McEstimate, _check_p, _distance_chain, _mc_estimate,
+                      _stream, edge_exponents, hitting_pair)
 from .laws import InitLaw
 from .tree import TreeParams, _check_int, _check_real
 
@@ -129,66 +129,28 @@ def mc_path_open(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float,
                  trials: int, seed: int = 0) -> McEstimate:
     """Monte Carlo estimate of path_open_prob by direct event simulation.
 
-    Frogs are realized at x_0 .. x_{k-1} and each walk is projected onto
-    (nearest path index, off-path distance); on a tree an off-path
-    excursion can only re-enter at its projection vertex, so the pair is a
-    Markov chain.  The per-trial reach matrix REACH[l, m] (owner l's frogs
-    visited x_m) feeds the inductive open-to-the-end recursion; frogs at
-    x_k are irrelevant to the event and not simulated.  A walk farther
-    than hitting._auto_escape_radius(p) from the path is retired, as in
-    the distance-chain oracles.
+    Frogs are realized at x_0 .. x_{k-1} (frogs at x_k are irrelevant to
+    the event and not simulated), and each walks through
+    hitting._distance_chain by its distance to x_k, retired past distance
+    _ESCAPE_RADIUS + k as in mc_range_vs_disk.  On a tree a walk from x_l
+    first comes within distance k - m of x_k at x_m, so owner l's frogs
+    visit exactly x_l .. x_reach[l], where reach[l] is k less the least
+    distance any of them reached, or l.  The path opens iff following
+    l -> reach[l] from x_0 ends at x_k; every hop short of x_k moves
+    forward or stays, so k hops decide it.
     """
     p = _check_p(p)
     trials = _check_int("trials", trials, 1, math.inf)
     k = query.k
-    radius = _auto_escape_radius(p)
-
     rng = _stream(seed, 0x50415448)
-    degs = (t.d1 + 1, t.d2 + 1)
-    i0 = query.i - 1  # 0-based parity of x_0
-
-    counts = law.sample(rng, trials * k).reshape(trials, k)
-    owner = np.tile(np.arange(k, dtype=np.int64), trials)
-    trial = np.repeat(np.arange(trials, dtype=np.int64), k)
-    owner = np.repeat(owner, counts.ravel())
-    trial = np.repeat(trial, counts.ravel())
-
-    pos = owner.copy()          # index of nearest path vertex
-    off = np.zeros_like(pos)    # distance from the path
-    reach = np.zeros((trials, k, k + 1), dtype=bool)
-    reach[trial, owner, pos] = True
-
-    while pos.size:
-        alive = np.flatnonzero(rng.random(pos.size) < p)
-        trial, owner, pos, off = (a.take(alive) for a in (trial, owner, pos, off))
-        if not pos.size:
-            break
-        deg = np.where((i0 + pos + off) % 2 == 0, degs[0], degs[1])
-        # u * deg rounds below deg for u <= 1 - 2**-53, so truncation needs no clamp
-        slot = (rng.random(pos.size) * deg).astype(np.int64)
-        on_path = off == 0
-        # on the path: slot 0 steps toward x_0 (off the segment when pos=0),
-        # slot 1 toward x_k (off when pos=k); any other slot leaves the path
-        go_left = on_path & (slot == 0) & (pos > 0)
-        go_right = on_path & (slot == (pos > 0).astype(np.int64)) & (pos < k)
-        go_off = on_path & ~go_left & ~go_right
-        back = ~on_path & (slot == 0)
-        pos = pos + go_right.astype(np.int64) - go_left.astype(np.int64)
-        off = off + np.where(on_path, go_off.astype(np.int64),
-                             np.where(back, -1, 1))
-        arrived = np.flatnonzero(off == 0)
-        if arrived.size:
-            reach[trial.take(arrived), owner.take(arrived), pos.take(arrived)] = True
-        keep = np.flatnonzero(off <= radius)
-        trial, owner, pos, off = (a.take(keep) for a in (trial, owner, pos, off))
-
-    # open-to-the-end recursion, from the far end down to x_0
-    open_to = np.zeros((trials, k + 1), dtype=bool)
-    open_to[:, k] = True
-    for m in range(k - 1, -1, -1):
-        acc = reach[:, m, k].copy()
-        for l in range(m + 1, k):
-            acc |= reach[:, m, l] & ~reach[:, m, l + 1] & open_to[:, l]
-        open_to[:, m] = acc
-
-    return _mc_estimate(int(open_to[:, 0].sum()), trials)
+    # frogs in (trial, owner) order, owner l at distance k - l from x_k
+    cell = np.repeat(np.arange(trials * k, dtype=np.int64), law.sample(rng, trials * k))
+    trial, owner = np.divmod(cell, k)
+    # x_0 has type i, so x_k has parity i - 1 + k
+    closest, _ = _distance_chain(rng, t, p, k - owner, query.i - 1 + k, _ESCAPE_RADIUS + k)
+    reach = np.tile(np.arange(k + 1, dtype=np.int64), (trials, 1))
+    np.maximum.at(reach, (trial, owner), k - closest)
+    rows, at = np.arange(trials), np.zeros(trials, dtype=np.int64)
+    for _ in range(k):
+        at = reach[rows, at]
+    return _mc_estimate(int(np.count_nonzero(at == k)), trials)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hitting import (_auto_escape_radius, _check_p, _distance_chain, _mc_estimate, _stream,
+from .hitting import (_ESCAPE_RADIUS, _check_p, _distance_chain, _mc_estimate, _stream,
                       edge_open_prob)
 from .laws import InitLaw
 from .tree import TreeParams, _check_int, _check_real
@@ -686,8 +686,9 @@ def mc_range_vs_disk(t: TreeParams, law: InitLaw, p: float, k: int,
     trial_idx = np.repeat(np.arange(trials, dtype=np.int64), counts)
     # parity of y: the start's parity after k flips
     base = start_type - 1 + k
-    hit, jumps = _distance_chain(rng, t, p, np.full(trial_idx.size, k, dtype=np.int64),
-                                 base, _auto_escape_radius(p) + k)
+    closest, jumps = _distance_chain(rng, t, p, np.full(trial_idx.size, k, dtype=np.int64),
+                                     base, _ESCAPE_RADIUS + k)
+    hit = closest == 0
     ball = jumps >= k
     if np.any(hit & ~ball):
         raise RuntimeError("a walk visited the target with fewer than k jumps")

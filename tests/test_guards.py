@@ -15,6 +15,9 @@ package calls float() on one of its own parameters.  The complement
 1 - pgf(1 - z) has one home, InitLaw.cpgf, whose closed forms keep full
 precision at small z, so nothing else in the package calls a law's pgf
 method, where that complement could be formed again with cancellation.
+Killed walks have one kernel, hitting._distance_chain, so every `while`
+loop in the package sits there, in the path-open tables' fill or in the
+coupled pass: no Monte Carlo oracle grows a walk loop of its own.
 The count of settable values is pinned, so a change that adds or removes
 one must update SETTABLE_VALUES and say why.
 """
@@ -159,6 +162,17 @@ def test_only_the_cpgf_fallback_calls_a_law_pgf():
              for where in _sites(tree, _calls_pgf)]
     # the plain form left to a law defined elsewhere
     assert found == ["laws.py:InitLaw.cpgf"]
+
+
+def test_only_the_kernel_the_tables_and_the_coupled_pass_loop_with_while():
+    probe = ast.parse("def f(x):\n    while x:\n        x -= 1\n"
+                      "class A:\n    def g(self):\n        for _ in ():\n"
+                      "            while True:\n                break\n")
+    assert _sites(probe, lambda n: isinstance(n, ast.While)) == ["f", "A.g"]
+    found = sorted({f"{name}:{where}" for name, tree in _package_sources()
+                    for where in _sites(tree, lambda n: isinstance(n, ast.While))})
+    assert found == ["hitting.py:_distance_chain", "pathprob.py:PathOpenTables._require",
+                     "sim.py:_replica_threshold"]
 
 
 def _floats_a_parameter(node, where=(), params=frozenset()):

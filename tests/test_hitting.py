@@ -213,10 +213,9 @@ def test_mc_hit_neighbor_p_one_hits_surely_for_d1():
 
 
 def test_distance_chain_oracles_end_quickly_near_p_one():
-    # the escape radius is capped at its p = 1 value, so a walk that almost
+    # the escape radius is its p = 1 value at every p, so a walk that almost
     # never dies is retired within a few hundred steps rather than millions
     t, p, law = TreeParams(2, 2), 0.99999, Constant(1)
-    assert hitting._auto_escape_radius(p) == hitting._auto_escape_radius(1.0)
     est = mc_hit_neighbor(t, p, start_type=1, trials=2_000, seed=1)
     assert abs(est.prob - hitting_pair(t, p).alpha) < 4.0 * est.stderr
     query = PathOpenQuery(1, 1, 2)
@@ -228,10 +227,12 @@ def test_distance_chain_oracles_end_quickly_near_p_one():
 
 
 def test_distance_chain_raises_past_its_step_cap(monkeypatch):
-    # both distance-chain oracles share the kernel and its cap
+    # all three distance-chain oracles share the kernel and its cap
     monkeypatch.setattr(hitting, "_CHAIN_STEP_CAP", 3)
     t = TreeParams(2, 3)
     with pytest.raises(RuntimeError, match="still alive"):
         mc_hit_neighbor(t, 0.9, start_type=1, trials=1_000, seed=1)
     with pytest.raises(RuntimeError, match="still alive"):
         mc_range_vs_disk(t, Constant(1), 0.9, k=3, trials=1_000, seed=1)
+    with pytest.raises(RuntimeError, match="still alive"):
+        mc_path_open(PathOpenQuery(1, 2, 3), t, Constant(1), 0.9, trials=1_000, seed=1)

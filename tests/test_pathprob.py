@@ -187,6 +187,23 @@ def test_mc_path_open_agrees_with_recursion(ijk):
         assert abs(est.prob - ref) < 4.0 * max(est.stderr, 1e-6)
 
 
+@pytest.mark.parametrize("d1, d2, law, p, ijk", [
+    (1, 2, Poisson(1.5), 0.9, (2, 1, 11)),
+    (1, 2, Geometric(0.5), 0.95, (1, 1, 12)),
+    (3, 100, Poisson(1.5), 0.95, (2, 1, 11)),
+    (3, 100, Geometric(0.5), 0.8, (2, 2, 12)),
+], ids=["T12-poisson-k11", "T12-geometric-k12", "T3_100-poisson-k11",
+        "T3_100-geometric-k12"])
+def test_mc_path_open_agrees_with_recursion_on_deep_paths(d1, d2, law, p, ijk):
+    # a cascade over many owners, through degree-2 vertices on T(1,2) and
+    # degree-101 ones on T(3,100); there the path opens with probability
+    # below 1e-10, so the check is that no cascade opens it falsely
+    t, query = TreeParams(d1, d2), PathOpenQuery(*ijk)
+    est = mc_path_open(query, t, law, p, trials=20_000, seed=23)
+    ref = path_open_prob(query, t, law, p)
+    assert abs(est.prob - ref) < 4.0 * max(est.stderr, 1e-6)
+
+
 def test_mc_path_open_at_p_zero_opens_nothing():
     est = mc_path_open(PathOpenQuery(1, 2, 3), TreeParams(2, 3), Constant(2), 0.0,
                        trials=200, seed=1)

@@ -858,8 +858,7 @@ def test_walk_step_guard_boundary_is_pinned(monkeypatch, replica, steps):
 
 def test_jump_slots_need_no_clamp():
     # Generator.random is at most 1 - 2**-53, which times any degree rounds
-    # below it, so the pass takes int(u * deg) without min(..., deg - 1),
-    # and pathprob.mc_path_open truncates u * deg to int64 without a clamp;
+    # below it, so the pass takes int(u * deg) without min(..., deg - 1);
     # 10_001 is the T(4,10000) degree
     top = np.nextafter(1.0, 0.0)
     assert top == 1.0 - 2.0 ** -53
