@@ -118,13 +118,7 @@ def f_n_value(t: TreeParams, q: float, n: int, p: float) -> float:
     return math.exp(lg / n) - 1.0 / (t.d1 * t.d2)
 
 
-@dataclass(frozen=True)
-class RootResult:
-    value: float
-    iterations: int
-
-
-def _bisect_increasing(f, what: str) -> RootResult:
+def _bisect_increasing(f, what: str) -> float:
     lo, hi = _BRACKET
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi):
@@ -136,17 +130,17 @@ def _bisect_increasing(f, what: str) -> RootResult:
             lo = mid
         else:
             hi = mid
-    return RootResult(value=0.5 * (lo + hi), iterations=_BISECT_STEPS)
+    return 0.5 * (lo + hi)
 
 
-def ub_root(t: TreeParams, q: float = 1.0) -> RootResult:
+def ub_root(t: TreeParams, q: float = 1.0) -> float:
     """Upper bound on p_c: the root of f(t, q, .) in (0, 1)."""
     _check_not_11(t)
     q = _check_q(q)
     return _bisect_increasing(lambda p: f_value(t, q, p), what="f")
 
 
-def ub_root_n(t: TreeParams, q: float, n: int) -> RootResult:
+def ub_root_n(t: TreeParams, q: float, n: int) -> float:
     """Root of the finite-n refinement f_n; decreases toward ub_root in n.
 
     For small q and small n, f_n stays negative on all of (0, 1) and no
@@ -220,15 +214,14 @@ class BoundsReport:
 
 
 def bounds_report(t: TreeParams, law: InitLaw) -> BoundsReport:
-    root = ub_root(t, q=law.q)
     return BoundsReport(
         d1=t.d1, d2=t.d2, eta=describe_law(law),
         mean_eta=law.mean, q=law.q,
         lb_alves=lb_alves(max(t.d1, t.d2), law.mean),
         lb_biregular=lb_biregular(t, law.mean),
-        ub_root=root.value,
+        ub_root=ub_root(t, q=law.q),
         ub_closed=ub_closed(t) if law.q == 1.0 else None,
-        root_iterations=root.iterations, tol=ROOT_TOL)
+        root_iterations=_BISECT_STEPS, tol=ROOT_TOL)
 
 
 def table1() -> list:

@@ -54,12 +54,12 @@ def check_pathprob() -> list:
     for q in (0.1, 0.3, 0.5, 0.7, 1.0):
         for a in np.linspace(0.05, 0.95 * a_hi, 5):
             for b in np.linspace(0.05, 0.95 * b_hi, 5):
-                tables = pathprob.PathOpenTables(Bernoulli(q).pgf, float(a), float(b))
-                for n in range(1, 16):
+                tables = pathprob.PathOpenTables(Bernoulli(q).cpgf, float(a), float(b))
+                for n in range(1, 33):
                     closed = pathprob.bernoulli_path_open(n, q, float(a), float(b))
-                    worst = max(worst, abs(tables.same_11(n) - closed))
+                    worst = max(worst, abs(tables.same_11(n) - closed) / closed)
     out.append(CheckResult("recursion equals Bernoulli closed form",
-                           worst <= 1e-10, f"worst |gap|={worst:.2e} tol=1e-10"))
+                           worst <= 1e-12, f"worst rel gap={worst:.2e} tol=1e-12"))
     t = TreeParams(2, 3)
     law = Poisson(1.0)
     grid = [0.2, 0.5, 0.8]

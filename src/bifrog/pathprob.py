@@ -4,13 +4,13 @@ A geodesic x_0, ..., x_k carries sleeping frogs on x_0 .. x_{k-1}.  The
 path is *open* when x_0's frogs either reach x_k directly, or reach some
 intermediate x_l (but not x_{l+1}) whose own frogs open the rest, and so
 on inductively.  With a = alpha, b = beta the one-step hitting
-probabilities and phi the generating function of the frog count, the
-probabilities for the four pairs of endpoint types satisfy mutual
-recursions whose kernel coefficients are the probabilities that the
-owner's frogs reach exactly l vertices along the path before the first
-closed edge.  A path from a type-2 vertex is one from a type-1 vertex with
-a and b exchanged, so one recursion, run in both orientations, gives all
-four.
+probabilities and cpgf(z) = 1 - phi(1 - z), phi the generating function of
+the frog count, the probabilities for the four pairs of endpoint types
+satisfy mutual recursions whose kernel coefficients, differences of cpgf
+values at full relative precision, are the chances that the owner's frogs
+reach exactly l vertices along the path before the first closed edge.
+A path from a type-2 vertex is one from a type-1 vertex with a and b
+exchanged, so one recursion, run in both orientations, gives all four.
 
 For Bernoulli frog counts the same-type family collapses to the closed
 form
@@ -54,7 +54,7 @@ class PathOpenQuery:
 
 
 class PathOpenTables:
-    """Memoized path-open probabilities at fixed (pgf, a, b), by orientation.
+    """Memoized path-open probabilities at fixed (cpgf, a, b), by orientation.
 
     Orientation o = i - 1 is the type of the path's start less one: it uses
     (x, y) = (a, b) for o = 0 and (b, a) for o = 1, since a geodesic from a
@@ -65,14 +65,14 @@ class PathOpenTables:
     each level fills both crosses before both sames.
     """
 
-    def __init__(self, pgf, a: float, b: float, k_max: int = K_MAX_DEFAULT):
-        self.pgf = pgf
+    def __init__(self, cpgf, a: float, b: float, k_max: int = K_MAX_DEFAULT):
+        self.cpgf = cpgf
         self.a, self.b = (_check_real("hitting probability", v, 0, 1, "[]") for v in (a, b))
         self.k_max = _check_int("k_max", k_max, 1, math.inf)
         self.n_max = (self.k_max + 1) // 2
         # per orientation, 1-indexed; the kernel coefficients are
-        # c1[o][l] = phi(1 - x^{l+1} y^l) - phi(1 - x^l y^l)
-        # c2[o][l] = phi(1 - x^l y^l)     - phi(1 - x^l y^{l-1})
+        # c1[o][l] = cpgf(x^l y^l)     - cpgf(x^{l+1} y^l)
+        # c2[o][l] = cpgf(x^l y^{l-1}) - cpgf(x^l y^l)
         self._cross, self._same = ([0.0], [0.0]), ([0.0], [0.0])
         self._c1, self._c2 = ([0.0], [0.0]), ([0.0], [0.0])
 
@@ -80,24 +80,23 @@ class PathOpenTables:
         if n > self.n_max:
             raise ValueError(f"path length {2 * n - 1}..{2 * n} exceeds k_max={self.k_max}; "
                              f"construct the tables with a larger k_max")
-        pgf, a, b = self.pgf, self.a, self.b
+        cpgf, a, b = self.cpgf, self.a, self.b
         cross, same, c1, c2 = self._cross, self._same, self._c1, self._c2
         while len(cross[0]) <= n:
             m = len(cross[0])
-            mid = pgf(1.0 - a ** m * b ** m)  # x^m y^m is the same in both orientations
+            mid = cpgf(a ** m * b ** m)  # x^m y^m is the same in both orientations
             for o, (x, y) in enumerate(((a, b), (b, a))):
                 k1, k2, own, other = c1[o], c2[o], cross[o], same[1 - o]
-                xm, ym = x ** m, y ** m
-                ym1 = y ** (m - 1)  # 0**0 == 1 covers p = 0
-                k1.append(pgf(1.0 - x * xm * ym) - mid)
-                k2.append(mid - pgf(1.0 - xm * ym1))
-                v = 1.0 - pgf(1.0 - xm * ym1)
+                direct = cpgf(x ** m * y ** (m - 1))  # 0**0 == 1 covers p = 0
+                k1.append(mid - cpgf(x ** (m + 1) * y ** m))
+                k2.append(direct - mid)
+                v = direct
                 for l in range(1, m):
                     v += k1[l] * own[m - l] + k2[l] * other[m - l]
                 own.append(v)
             for o in (0, 1):
                 k1, k2, own, other = c1[o], c2[o], same[o], cross[1 - o]
-                v = 1.0 - mid
+                v = mid
                 for l in range(1, m):
                     v += k1[l] * own[m - l]
                 for l in range(1, m + 1):
@@ -115,7 +114,7 @@ class PathOpenTables:
 def path_open_prob(query: PathOpenQuery, t: TreeParams, law: InitLaw, p: float) -> float:
     """Probability that the geodesic described by the query opens."""
     pair = hitting_pair(t, p)
-    return PathOpenTables(law.pgf, pair.alpha, pair.beta, k_max=query.k).value(query)
+    return PathOpenTables(law.cpgf, pair.alpha, pair.beta, k_max=query.k).value(query)
 
 
 def bernoulli_path_open(n: int, q: float, a: float, b: float) -> float:

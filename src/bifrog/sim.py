@@ -26,7 +26,8 @@ per replica, so one minimax pass (after Newman and Ziff) finds the
 replica's critical value p_hat, the least p at which the woken total
 exceeds the cap, and survival at every p < 1 is p_hat < p.  That pass
 moves one frog at a time in a loop that owns the replica's tree, with
-each walk a plain tuple; _Realization is the random environment alone.
+each walk a plain tuple, one per woken frog, whose bytes stay within
+FROG_ARRAY_BYTES; _Realization is the random environment alone.
 A walk-block read refills the one float buffer the realization owns, and
 the pass takes single words of it as Python floats, so a read is a
 counter reset and one fill, with no array or list made per read.
@@ -63,7 +64,7 @@ ACTIVATED_HARD_CAP = 10 ** 7
 DENSE_TABLE_BYTES = 1 << 30
 #: largest frog arrays, in bytes, that a run_frog step holds at once: the
 #: awake frogs' positions, the buffer of their survival uniforms and the
-#: step's per-frog temporaries
+#: step's per-frog temporaries; also the coupled pass's bound on its walks
 FROG_ARRAY_BYTES = 1 << 30
 _MAX_WALK_STEPS = 10 ** 6
 #: dtype of run_frog's vertex ids, positions and flat neighbor-table indices
@@ -75,6 +76,10 @@ _EMPTY = np.empty(0, dtype=_VID)
 #: inside move, the store's own growth left out: at most 33 bytes a mover
 #: for the dense table, 128 for the dict store)
 _FROG_ITEMSIZE = 160
+#: bytes per woken frog in the coupled pass: its walk tuple in the ready list
+#: or the heap, with its vertex's tree entries (tracemalloc peaks of 109-284
+#: bytes a frog on T(2,2) at caps 2e4 and 2e5, const:1, const:50, Poisson(2))
+_WALK_ITEMSIZE = 288
 
 
 class SimResourceError(RuntimeError):
@@ -94,6 +99,13 @@ def _check_frog_count(need: int) -> None:
         raise SimResourceError(
             f"{need} awake frogs would need more than {FROG_ARRAY_BYTES} bytes "
             f"of frog arrays; lower awake_cap or the law's mean")
+
+
+def _check_walk_count(need: int) -> None:
+    if need > FROG_ARRAY_BYTES // _WALK_ITEMSIZE:
+        raise SimResourceError(
+            f"{need} woken frogs' walks would need more than {FROG_ARRAY_BYTES} "
+            f"bytes; lower awake_cap or the law's mean")
 
 
 def _extended(a: np.ndarray, size: int) -> np.ndarray:
@@ -422,14 +434,18 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     degs, stride = (t.d1 + 1, t.d2 + 1), t.stride
     parent, child, rng_key = [-1], {}, [0]
     push, cap = heapq.heappush, config.awake_cap
+    # past limit the pass survives at the cap, or its walks outgrow the bound
+    limit = min(cap, FROG_ARRAY_BYTES // _WALK_ITEMSIZE)
     pairs, max_steps, hard_cap = _BLOCK_PAIRS, _MAX_WALK_STEPS, ACTIVATED_HARD_CAP
     # blocks below `full` end before the step guard, so they stop at pairs
     full = max_steps // pairs
     total = eta(0)
     if total == 0 or p_max <= 0.0:
         return math.inf, total >= 1
-    if total > cap:
-        return 0.0, True
+    if total > limit:
+        if total > cap:
+            return 0.0, True
+        _check_walk_count(total)
     # a walk: (key, frog, block, i, pos, odd), frog `frog` of the vertex with
     # RNG key `key`, at pos (parity odd) before step i of block `block`
     ready = [(0, f, 0, 0, 0, 0) for f in range(total)]
@@ -479,8 +495,10 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
                 pos = y
                 k = const if const is not None else eta(vkey)
                 total += k
-                if total > cap:
-                    return level, True
+                if total > limit:
+                    if total > cap:
+                        return level, True
+                    _check_walk_count(total)
                 if k == 1:
                     ready.append((vkey, 0, 0, 0, pos, odd))
                 elif k:

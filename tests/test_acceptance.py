@@ -70,7 +70,7 @@ def test_criterion_04_recursion_equals_closed_form():
         law = Bernoulli(q)
         for a in np.linspace(0.05, 0.95 * a_hi, 5):
             for b in np.linspace(0.05, 0.95 * b_hi, 5):
-                tables = pathprob.PathOpenTables(law.pgf, float(a), float(b), k_max=30)
+                tables = pathprob.PathOpenTables(law.cpgf, float(a), float(b), k_max=30)
                 for n in range(1, 16):
                     closed = pathprob.bernoulli_path_open(n, q, float(a), float(b))
                     worst = max(worst, abs(tables.same_11(n) - closed))
@@ -81,8 +81,8 @@ def test_criterion_05_root_convergence():
     worst = 0.0
     for d1, d2 in bounds.TABLE_ROWS:
         t = TreeParams(d1, d2)
-        limit = bounds.ub_root(t, q=1.0).value
-        approx = bounds.ub_root_n(t, 1.0, 200).value
+        limit = bounds.ub_root(t, q=1.0)
+        approx = bounds.ub_root_n(t, 1.0, 200)
         worst = max(worst, abs(approx - limit))
     _line(5, "root-convergence", worst <= 1e-3, f"max |shift|={worst:.2e}")
 

@@ -114,7 +114,7 @@ def test_spectral_radius_linear_in_p():
 
 def test_f_sign_change_brackets_root():
     t = TreeParams(2, 3)
-    root = ub_root(t).value
+    root = ub_root(t)
     assert f_value(t, 1.0, root - 1e-6) < 0.0
     assert f_value(t, 1.0, root + 1e-6) > 0.0
     assert abs(f_value(t, 1.0, root)) < 1e-10
@@ -157,9 +157,8 @@ def test_f_n_survives_deep_underflow():
 def test_ub_root_exact_on_2_2():
     # on the (2, 2) geometry with one frog per vertex the gap function
     # factors and the root is exactly 3/4
-    res = ub_root(TreeParams(2, 2))
-    assert abs(res.value - 0.75) < 1e-9
-    assert res.iterations > 0
+    assert abs(ub_root(TreeParams(2, 2)) - 0.75) < 1e-9
+    assert bounds_report(TreeParams(2, 2), Constant(1)).root_iterations > 0
 
 
 def test_bisection_halves_the_bracket_just_below_root_tol():
@@ -171,8 +170,8 @@ def test_bisection_halves_the_bracket_just_below_root_tol():
 
 def test_ub_root_swap_symmetric():
     for d1, d2 in ((1, 2), (2, 3), (3, 100)):
-        r1 = ub_root(TreeParams(d1, d2)).value
-        r2 = ub_root(TreeParams(d2, d1)).value
+        r1 = ub_root(TreeParams(d1, d2))
+        r2 = ub_root(TreeParams(d2, d1))
         assert abs(r1 - r2) < 1e-10
 
 
@@ -182,29 +181,29 @@ def test_ub_root_swap_symmetric():
 def test_ub_root_swap_symmetric_everywhere(d1, d2, q):
     assume((d1, d2) != (1, 1))
     t = TreeParams(d1, d2)
-    assert abs(ub_root(t, q).value - ub_root(TreeParams(d2, d1), q).value) < 1e-10
+    assert abs(ub_root(t, q) - ub_root(TreeParams(d2, d1), q)) < 1e-10
 
 
 def test_ub_root_decreases_with_q():
     t = TreeParams(2, 3)
-    vals = [ub_root(t, q=q).value for q in (0.6, 0.8, 1.0)]
+    vals = [ub_root(t, q=q) for q in (0.6, 0.8, 1.0)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
 def test_ub_root_n_approaches_ub_root():
     for d1, d2 in TABLE_ROWS:
         t = TreeParams(d1, d2)
-        limit = ub_root(t).value
-        approx = ub_root_n(t, 1.0, 200).value
+        limit = ub_root(t)
+        approx = ub_root_n(t, 1.0, 200)
         assert abs(approx - limit) < 1e-3
 
 
 def test_ub_root_n_decreasing_in_n():
     # finite-n roots shrink toward the limit as the certificate sharpens
     t = TreeParams(2, 3)
-    roots = [ub_root_n(t, 1.0, n).value for n in (1, 2, 5, 20, 100)]
+    roots = [ub_root_n(t, 1.0, n) for n in (1, 2, 5, 20, 100)]
     assert all(x > y for x, y in zip(roots, roots[1:]))
-    assert roots[-1] > ub_root(t).value - 1e-6
+    assert roots[-1] > ub_root(t) - 1e-6
 
 
 def test_no_root_for_weak_activation():
@@ -224,7 +223,7 @@ def test_ub_closed_values_and_domain():
 def test_ub_closed_dominates_ub_root():
     for d1, d2 in TABLE_ROWS:
         t = TreeParams(d1, d2)
-        assert ub_root(t).value <= ub_closed(t) + 1e-12
+        assert ub_root(t) <= ub_closed(t) + 1e-12
 
 
 # --- reference table --------------------------------------------------------

@@ -234,6 +234,16 @@ def test_sweep_frog_byte_bound_exits_one(capsys, monkeypatch):
     assert err.startswith("resource error:") and f"{bound} bytes" in err
 
 
+def test_sweep_coupled_walk_byte_bound_exits_one(capsys, monkeypatch):
+    bound = 100 * sim._WALK_ITEMSIZE
+    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", bound)
+    code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2", "--p", "0.5",
+                          "--replicas", "1", "--coupled", "--eta", "const:101")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("resource error:") and f"{bound} bytes" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--d1", "1" + "0" * 160, "--d2", "2"],
     ["sweep", "--d1", "100000000000000000000", "--d2", "2", "--p", "0.5", "--replicas", "1"],

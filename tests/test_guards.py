@@ -13,8 +13,9 @@ tests isinstance(_, int) or names __index__ or operator.index; real
 inputs have one rule, tree._check_real, so no other function in the
 package calls float() on one of its own parameters.  The complement
 1 - pgf(1 - z) has one home, InitLaw.cpgf, whose closed forms keep full
-precision at small z, so nothing else in the package calls a law's pgf
-method, where that complement could be formed again with cancellation.
+precision at small z, so nothing else in the package names a law's pgf,
+to call it or to pass it on, where that complement could be formed again
+with cancellation.
 Killed walks have one kernel, hitting._distance_chain, so every `while`
 loop in the package sits there, in the path-open tables' fill or in the
 coupled pass: no Monte Carlo oracle grows a walk loop of its own.
@@ -146,20 +147,20 @@ def test_only_check_int_tests_for_an_integer():
     assert found == ["tree.py:_check_int"]
 
 
-def _calls_pgf(node):
-    """A call of an attribute named pgf, as law.pgf(s); a pgf passed on as
-    a plain callable and called by its own name is not one."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "pgf")
+def _names_pgf(node):
+    """An attribute named pgf, called as law.pgf(s) or passed on as a value
+    as T(law.pgf); a method defined as pgf is not one."""
+    return isinstance(node, ast.Attribute) and node.attr == "pgf"
 
 
 def test_only_the_cpgf_fallback_calls_a_law_pgf():
     probe = ast.parse("def f(law, z):\n    return 1.0 - law.pgf(1.0 - z)\n"
-                      "class A:\n    def g(self, pgf, law):\n"
-                      "        return pgf(0.5), T(law.pgf), self.pgf(0.5)\n")
-    assert _sites(probe, _calls_pgf) == ["f", "A.g"]
+                      "class A:\n    def g(self, c, law):\n"
+                      "        return c(0.5), T(law.pgf), self.cpgf(0.5)\n"
+                      "    def pgf(self, s):\n        return s\n")
+    assert _sites(probe, _names_pgf) == ["f", "A.g"]
     found = [f"{name}:{where}" for name, tree in _package_sources()
-             for where in _sites(tree, _calls_pgf)]
+             for where in _sites(tree, _names_pgf)]
     # the plain form left to a law defined elsewhere
     assert found == ["laws.py:InitLaw.cpgf"]
 
@@ -260,7 +261,7 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: disk_mean_offspring(LAW, 0, 0.1),
     lambda: bernoulli_path_open(0, 0.5, 0.3, 0.3),
     lambda: bernoulli_path_open(1, 0.0, 0.3, 0.3),
-    lambda: PathOpenTables(Constant(1).pgf, 0.3, 0.3, k_max=8).same_11(5),
+    lambda: PathOpenTables(Constant(1).cpgf, 0.3, 0.3, k_max=8).same_11(5),
     lambda: SimConfig(tree=T23, law=LAW, p=0.5, horizon=2.5),
     lambda: SimConfig(tree=T23, law=LAW, p=0.5, awake_cap=2.5),
     lambda: SimConfig(tree=T23, law=LAW, p=0.5, awake_cap=True),
@@ -271,7 +272,7 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: TreeParams(True, 2),
     lambda: Constant(True),
     lambda: bernoulli_path_open(2.5, 0.5, 0.3, 0.3),
-    lambda: PathOpenTables(Constant(1).pgf, 0.3, 0.3, k_max=2.5),
+    lambda: PathOpenTables(Constant(1).cpgf, 0.3, 0.3, k_max=2.5),
     lambda: estimate_survival(CFG, True),
     lambda: estimate_survival(CFG, 2.5),
     lambda: coupled_thresholds(CFG, 0.9, 2.5),
@@ -287,7 +288,7 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: hitting_pair(T23, "0.8"),
     lambda: Bernoulli("0.5"),
     lambda: coupled_thresholds(CFG, "0.5", 1),
-    lambda: PathOpenTables(Constant(1).pgf, "0.3", 0.3),
+    lambda: PathOpenTables(Constant(1).cpgf, "0.3", 0.3),
     lambda: TreeParams(np.array(2.5), 2),
     lambda: bernoulli_path_open(1, 0.5, "0.3", 0.3),
     lambda: bernoulli_path_open(1, 0.5, 0.3, 1.5),
@@ -331,6 +332,6 @@ def test_reals_are_taken_and_stored_as_float():
     for x in (np.float64(0.5), np.float32(0.5), 1):
         want = float(x)
         stored = (Poisson(x).mu, Bernoulli(x).prob, SimConfig(tree=T23, law=LAW, p=x).p,
-                  PathOpenTables(Constant(1).pgf, x, 0.3).a)
+                  PathOpenTables(Constant(1).cpgf, x, 0.3).a)
         assert all(type(v) is float and v == want for v in stored), (x, stored)
     assert repr(Poisson(np.float64(1.5))) == "Poisson(mu=1.5)"

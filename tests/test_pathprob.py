@@ -2,10 +2,13 @@
 
 The workhorse check plays the general recursion against the independent
 Bernoulli closed form on a grid of activation probabilities and hitting
-pairs.  A direct Monte Carlo of the multi-frog path event provides a
-model-level oracle for non-Bernoulli laws.
+pairs, in relative terms down to levels where the hitting products are far
+below machine epsilon.  For other laws the same recursion run on a
+120-digit cpgf is the reference.  A direct Monte Carlo of the multi-frog
+path event provides a model-level oracle for non-Bernoulli laws.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,11 +53,45 @@ def test_query_level_index():
 def test_recursion_matches_bernoulli_closed_form(q):
     law = Bernoulli(q)
     for a, b in AB_GRID:
-        tables = PathOpenTables(law.pgf, a, b, k_max=30)
-        for n in range(1, 16):
+        tables = PathOpenTables(law.cpgf, a, b, k_max=64)
+        for n in range(1, 33):
             got = tables.same_11(n)
             want = bernoulli_path_open(n, q, a, b)
-            assert abs(got - want) < 1e-12, (q, a, b, n)
+            # relative, so a zero closed form (a or b is 0) must be met exactly
+            assert abs(got - want) <= 1e-12 * want, (q, a, b, n)
+
+
+def _mp_cpgf(law):
+    """1 - pgf(1 - z) of law at the working mpmath precision, from the pgf's
+    definition."""
+    def pgf(s):
+        if isinstance(law, Constant):
+            return s ** law.k
+        if isinstance(law, Poisson):
+            return mpmath.exp(law.mu * (s - 1))
+        if isinstance(law, Geometric):
+            r = mpmath.mpf(law.r)  # 1 - law.r would round in floats
+            return (1 - r) / (1 - r * s)
+        return 1 - law.prob * (1 - s)
+    return lambda z: 1 - pgf(1 - mpmath.mpf(z))
+
+
+@pytest.mark.parametrize("law", [Constant(2), Bernoulli(0.6), Poisson(1.3), Geometric(0.45)],
+                         ids=repr)
+def test_tables_keep_relative_precision_against_a_high_precision_run(law):
+    # the same recursion on the same float hitting products, with every
+    # cpgf value and every sum taken at 120 digits
+    for a, b in ((0.62, 0.35), (0.5, 0.5), (0.3, 0.2)):
+        tables = PathOpenTables(law.cpgf, a, b, k_max=64)
+        with mpmath.workdps(120):
+            ref = PathOpenTables(_mp_cpgf(law), a, b, k_max=64)
+            for i in (1, 2):
+                for j in (1, 2):
+                    for n in range(1, 33):
+                        query = PathOpenQuery(i, j, 2 * n - (i != j))
+                        want = ref.value(query)
+                        got = tables.value(query)
+                        assert abs(got - want) <= 1e-13 * want, (a, b, query)
 
 
 def test_bernoulli_one_step_recurrence():
@@ -75,7 +112,7 @@ def test_level_one_values_match_direct_decomposition():
     law = Poisson(1.2)
     phi = law.pgf
     a, b = 0.55, 0.4
-    tables = PathOpenTables(phi, a, b)
+    tables = PathOpenTables(law.cpgf, a, b)
     assert abs(tables.value(PathOpenQuery(1, 2, 1)) - (1.0 - phi(1.0 - a))) < 1e-15
     assert abs(tables.value(PathOpenQuery(2, 1, 1)) - (1.0 - phi(1.0 - b))) < 1e-15
     want_11 = (1.0 - phi(1.0 - a * b)) + (phi(1.0 - a * b) - phi(1.0 - a)) * (1.0 - phi(1.0 - b))
@@ -87,8 +124,8 @@ def test_level_one_values_match_direct_decomposition():
 def test_swapping_a_b_exchanges_families():
     law = Geometric(0.45)
     a, b = 0.62, 0.35
-    fwd = PathOpenTables(law.pgf, a, b, k_max=20)
-    rev = PathOpenTables(law.pgf, b, a, k_max=20)
+    fwd = PathOpenTables(law.cpgf, a, b, k_max=20)
+    rev = PathOpenTables(law.cpgf, b, a, k_max=20)
     for n in range(1, 10):
         k = 2 * n - 1
         assert fwd.value(PathOpenQuery(1, 2, k)) == rev.value(PathOpenQuery(2, 1, k))
@@ -97,7 +134,7 @@ def test_swapping_a_b_exchanges_families():
 
 def test_values_are_probabilities_and_decrease_with_length():
     for law in (Constant(1), Poisson(0.8), Geometric(0.3)):
-        tables = PathOpenTables(law.pgf, 0.7, 0.6, k_max=40)
+        tables = PathOpenTables(law.cpgf, 0.7, 0.6, k_max=40)
         for i, j in ((1, 2), (2, 1), (1, 1), (2, 2)):
             vals = [tables.value(PathOpenQuery(i, j, 2 * n - (i != j))) for n in range(1, 20)]
             assert all(0.0 <= v <= 1.0 for v in vals)
@@ -110,7 +147,7 @@ def test_path_open_at_least_product_of_edge_terms():
     # of single-edge openings along the geodesic
     law = Poisson(1.0)
     a, b = 0.6, 0.5
-    tables = PathOpenTables(law.pgf, a, b)
+    tables = PathOpenTables(law.cpgf, a, b)
     edge_a = 1.0 - law.pgf(1.0 - a)
     edge_b = 1.0 - law.pgf(1.0 - b)
     for n in range(1, 8):
@@ -149,9 +186,9 @@ def test_path_open_prob_nondecreasing_in_p(query, d1, d2, law, p, gap):
 
 def test_tables_reject_bad_hitting_values():
     with pytest.raises(ValueError):
-        PathOpenTables(Constant(1).pgf, -0.1, 0.5)
+        PathOpenTables(Constant(1).cpgf, -0.1, 0.5)
     with pytest.raises(ValueError):
-        PathOpenTables(Constant(1).pgf, 0.5, 1.2)
+        PathOpenTables(Constant(1).cpgf, 0.5, 1.2)
 
 
 def test_bernoulli_helper_matches_general_recursion_at_tree():
@@ -167,11 +204,11 @@ def test_bernoulli_helper_matches_general_recursion_at_tree():
 
 def test_degenerate_hitting_pairs():
     law = Poisson(1.0)
-    dead = PathOpenTables(law.pgf, 0.0, 0.0)
+    dead = PathOpenTables(law.cpgf, 0.0, 0.0)
     for n in range(1, 5):
         assert dead.value(PathOpenQuery(1, 2, 2 * n - 1)) == 0.0
         assert dead.same_11(n) == 0.0
-    full = PathOpenTables(Constant(1).pgf, 1.0, 1.0)
+    full = PathOpenTables(Constant(1).cpgf, 1.0, 1.0)
     for n in range(1, 5):
         assert abs(full.value(PathOpenQuery(1, 2, 2 * n - 1)) - 1.0) < 1e-15
         assert abs(full.value(PathOpenQuery(2, 2, 2 * n)) - 1.0) < 1e-15

@@ -842,6 +842,25 @@ def test_long_walk_raises_resource_error(monkeypatch):
         coupled_thresholds(cfg, 0.95, 5)
 
 
+def test_coupled_walk_byte_bound_raises_before_building_the_walks(monkeypatch):
+    bound = 100 * sim._WALK_ITEMSIZE
+    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", bound)
+    cfg = SimConfig(tree=T22, law=Constant(101), p=0.5, awake_cap=10**6, seed=3)
+    # at the root: 101 walks pass the bound, unless the cap ends the pass first
+    with pytest.raises(SimResourceError, match=f"^101 woken frogs' walks .* {bound} bytes"):
+        coupled_thresholds(cfg, 0.95, 1)
+    assert coupled_thresholds(dataclasses.replace(cfg, awake_cap=100), 0.95, 1).p_hat == (0.0,)
+    # mid-pass: one root frog, and the bound is passed on the vertex that wakes the 101st
+    grow = dataclasses.replace(cfg, law=Constant(1))
+    with pytest.raises(SimResourceError, match=f"^101 woken frogs' walks .* {bound} bytes"):
+        coupled_thresholds(grow, 0.95, 1)
+    # a cap within the bound ends the same pass where the bound is not patched
+    capped = dataclasses.replace(grow, awake_cap=100)
+    got = coupled_thresholds(capped, 0.95, 1).p_hat
+    monkeypatch.undo()
+    assert got == coupled_thresholds(capped, 0.95, 1).p_hat and got[0] < 0.95
+
+
 @pytest.mark.parametrize("replica,steps", [(0, 22), (1, 34), (2, 22), (3, 31), (4, 17)])
 def test_walk_step_guard_boundary_is_pinned(monkeypatch, replica, steps):
     # the least step bound each pass completes under, recorded before the
@@ -917,7 +936,7 @@ def test_both_estimands_die_below_lb_and_survive_above_ub(cap):
     # replicas survive at 0.55 < lb_biregular and some do at 0.9 > ub_root,
     # both for frogs awake at once (uncoupled) and woken in total (coupled)
     lo, hi = 0.55, 0.9
-    assert lo < lb_biregular(T22, 1.0) and ub_root(T22).value < hi
+    assert lo < lb_biregular(T22, 1.0) and ub_root(T22) < hi
     cfg = SimConfig(tree=T22, law=Constant(1), p=lo, awake_cap=cap)
     for coupled in (False, True):
         below, above = sweep(cfg, [lo, hi], 20, coupled=coupled)
