@@ -34,8 +34,6 @@ from .hitting import (_ESCAPE_RADIUS, McEstimate, _check_p, _distance_chain, _mc
 from .laws import InitLaw
 from .tree import TreeParams, _check_int, _check_real
 
-K_MAX_DEFAULT = 64
-
 
 @dataclass(frozen=True)
 class PathOpenQuery:
@@ -65,7 +63,7 @@ class PathOpenTables:
     each level fills both crosses before both sames.
     """
 
-    def __init__(self, cpgf, a: float, b: float, k_max: int = K_MAX_DEFAULT):
+    def __init__(self, cpgf, a: float, b: float, k_max: int):
         self.cpgf = cpgf
         self.a, self.b = (_check_real("hitting probability", v, 0, 1, "[]") for v in (a, b))
         self.k_max = _check_int("k_max", k_max, 1, math.inf)

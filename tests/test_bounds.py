@@ -17,11 +17,9 @@ from bifrog import bounds
 from bifrog.bounds import (
     TABLE_REFERENCE,
     TABLE_ROWS,
-    AsymptoticRow,
     BoundsReport,
     DiskSeries,
     NoRootError,
-    asymptotic_check,
     bounds_report,
     disk_mean_offspring,
     f_n_value,
@@ -190,14 +188,6 @@ def test_ub_root_decreases_with_q():
     assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
-def test_ub_root_n_approaches_ub_root():
-    for d1, d2 in TABLE_ROWS:
-        t = TreeParams(d1, d2)
-        limit = ub_root(t)
-        approx = ub_root_n(t, 1.0, 200)
-        assert abs(approx - limit) < 1e-3
-
-
 def test_ub_root_n_decreasing_in_n():
     # finite-n roots shrink toward the limit as the certificate sharpens
     t = TreeParams(2, 3)
@@ -331,16 +321,7 @@ def test_disk_series_unbounded_law_tail():
         assert 0.0 <= s.remainder < 1e-200
 
 
-# --- asymptotics -------------------------------------------------------------
-
-
-def test_asymptotic_scaled_gaps():
-    rows = asymptotic_check([10, 100, 1000])
-    lbs = [r.lb_scaled for r in rows]
-    assert all(x < y for x, y in zip(lbs, lbs[1:]))
-    assert abs(lbs[-1] - 0.25) < 0.01
-    for r in rows:
-        assert abs(r.ub_scaled - 0.5) < 1e-9
+# --- validation --------------------------------------------------------------
 
 
 def test_validation_of_q_and_mean():

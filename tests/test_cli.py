@@ -46,11 +46,12 @@ def test_parse_p_grid_rejects_garbage():
     ("0.5:inf:0.1", "finite"), ("-inf:0.5:0.1", "finite"),
     ("0.5:0.9:inf", "finite"), ("nan:0.5:0.1", "finite"),
     ("0.5:0.7:nan", "finite"), ("-0.1:0.5:0.1", "hi <= 1"),
-    ("0.5:1.5:0.1", "hi <= 1"), ("0:1:1e-15", "exceed"),
+    ("0.5:1.5:0.1", "hi <= 1"), ("0:1:1e-15", "exceed"), ("0:1:1e-320", "exceed"),
 ])
 def test_parse_p_grid_rejects_unbounded_grids(text, why):
     # each spec fails before a point is made; without the checks the first
-    # would loop forever and the last would try to build 10**15 points
+    # would loop forever, 1e-15 would try to build 10**15 points and the
+    # subnormal 1e-320 would overflow the point count
     with pytest.raises(ValueError, match=why):
         parse_p_grid(text)
 
@@ -264,7 +265,7 @@ def test_sweep_rejects_bad_grid(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("grid", ["0.5:inf:0.1", "0:1:1e-15"])
+@pytest.mark.parametrize("grid", ["0.5:inf:0.1", "0:1:1e-15", "0:1:1e-320"])
 def test_sweep_rejects_unbounded_grid(capsys, grid):
     code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2",
                           "--p", grid, "--replicas", "5")
@@ -276,29 +277,53 @@ def test_sweep_rejects_unbounded_grid(capsys, grid):
 # --- check -------------------------------------------------------------------
 
 
-def test_check_fast_suites_pass(capsys):
-    code, out, err = _run(capsys, "check", "pathprob", "--trials", "2000")
-    assert code == 0
-    assert "FAIL" not in err
-    code, out, err = _run(capsys, "check", "asymptotics")
-    assert code == 0
+def _stand_in(name, seeded):
+    if seeded:
+        return lambda seed: [CheckResult(name, True, f"seed={seed}")]
+    return lambda: [CheckResult(name, True, "no seed")]
 
 
-def test_check_json_lists_results(capsys):
+@pytest.fixture
+def stand_ins(monkeypatch):
+    """Every suite as one passing row naming it and its seed: the CLI's
+    wiring without the criteria, which test_acceptance.py runs."""
+    for name in checks.SUITES:
+        monkeypatch.setitem(checks.SUITES, name, _stand_in(name, name in checks.SEEDED))
+
+
+def test_check_fast_suites_pass(capsys, stand_ins):
+    code, out, err = _run(capsys, "check", "pathprob")
+    assert (code, err) == (0, "")
+    assert "pathprob" in out and "no seed" in out
+    code, out, err = _run(capsys, "check", "hitting", "--seed", "7")
+    assert (code, err) == (0, "")
+    assert "seed=7" in out
+
+
+def test_check_json_lists_results(capsys, stand_ins):
     code, out, _ = _run(capsys, "check", "corollary-grid", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "check"
-    assert all(row["passed"] for row in doc["rows"])
+    assert doc["rows"] == [{"name": "corollary-grid", "passed": True, "detail": "no seed"}]
 
 
-def test_check_all_runs_every_suite(capsys):
-    code, out, err = _run(capsys, "check", "all", "--trials", "5000", "--format", "csv")
+def test_check_all_runs_every_suite(capsys, stand_ins):
+    code, out, err = _run(capsys, "check", "all", "--seed", "3", "--format", "csv")
     assert code == 0
     assert err == ""
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 19
+    assert [r["name"] for r in rows] == list(checks.SUITES)
     assert all(r["passed"] == "True" for r in rows)
+    assert [r["name"] for r in rows if r["detail"] == "seed=3"] == [
+        "hitting", "path-open-mc", "endpoints", "bracket", "gw"]
+
+
+def test_check_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "hitting", "--trials", "10"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_check_failing_row_exits_one(capsys, monkeypatch):

@@ -49,7 +49,7 @@ LAW = Poisson(1.0)
 CFG = SimConfig(tree=T23, law=LAW, p=0.5)
 #: defaulted parameters, **kwargs, defaulted dataclass fields and
 #: add_argument call sites over the package's modules
-SETTABLE_VALUES = 32
+SETTABLE_VALUES = 29
 
 
 def _package_sources():
@@ -288,7 +288,7 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: hitting_pair(T23, "0.8"),
     lambda: Bernoulli("0.5"),
     lambda: coupled_thresholds(CFG, "0.5", 1),
-    lambda: PathOpenTables(Constant(1).cpgf, "0.3", 0.3),
+    lambda: PathOpenTables(Constant(1).cpgf, "0.3", 0.3, k_max=2),
     lambda: TreeParams(np.array(2.5), 2),
     lambda: bernoulli_path_open(1, 0.5, "0.3", 0.3),
     lambda: bernoulli_path_open(1, 0.5, 0.3, 1.5),
@@ -332,6 +332,6 @@ def test_reals_are_taken_and_stored_as_float():
     for x in (np.float64(0.5), np.float32(0.5), 1):
         want = float(x)
         stored = (Poisson(x).mu, Bernoulli(x).prob, SimConfig(tree=T23, law=LAW, p=x).p,
-                  PathOpenTables(Constant(1).cpgf, x, 0.3).a)
+                  PathOpenTables(Constant(1).cpgf, x, 0.3, k_max=2).a)
         assert all(type(v) is float and v == want for v in stored), (x, stored)
     assert repr(Poisson(np.float64(1.5))) == "Poisson(mu=1.5)"

@@ -164,7 +164,8 @@ def _mp_pgf(law, s):
         return 1 - law.prob * (1 - s)
     if isinstance(law, Poisson):
         return mpmath.exp(law.mu * (s - 1))
-    return (1 - law.r) / (1 - law.r * s)
+    r = mpmath.mpf(law.r)  # 1 - law.r would round in floats
+    return (1 - r) / (1 - r * s)
 
 
 @pytest.mark.parametrize("law", [Constant(1), Constant(3), Bernoulli(0.4), Poisson(1.0),

@@ -112,7 +112,7 @@ def test_level_one_values_match_direct_decomposition():
     law = Poisson(1.2)
     phi = law.pgf
     a, b = 0.55, 0.4
-    tables = PathOpenTables(law.cpgf, a, b)
+    tables = PathOpenTables(law.cpgf, a, b, k_max=2)
     assert abs(tables.value(PathOpenQuery(1, 2, 1)) - (1.0 - phi(1.0 - a))) < 1e-15
     assert abs(tables.value(PathOpenQuery(2, 1, 1)) - (1.0 - phi(1.0 - b))) < 1e-15
     want_11 = (1.0 - phi(1.0 - a * b)) + (phi(1.0 - a * b) - phi(1.0 - a)) * (1.0 - phi(1.0 - b))
@@ -147,7 +147,7 @@ def test_path_open_at_least_product_of_edge_terms():
     # of single-edge openings along the geodesic
     law = Poisson(1.0)
     a, b = 0.6, 0.5
-    tables = PathOpenTables(law.cpgf, a, b)
+    tables = PathOpenTables(law.cpgf, a, b, k_max=13)
     edge_a = 1.0 - law.pgf(1.0 - a)
     edge_b = 1.0 - law.pgf(1.0 - b)
     for n in range(1, 8):
@@ -186,9 +186,9 @@ def test_path_open_prob_nondecreasing_in_p(query, d1, d2, law, p, gap):
 
 def test_tables_reject_bad_hitting_values():
     with pytest.raises(ValueError):
-        PathOpenTables(Constant(1).cpgf, -0.1, 0.5)
+        PathOpenTables(Constant(1).cpgf, -0.1, 0.5, k_max=2)
     with pytest.raises(ValueError):
-        PathOpenTables(Constant(1).cpgf, 0.5, 1.2)
+        PathOpenTables(Constant(1).cpgf, 0.5, 1.2, k_max=2)
 
 
 def test_bernoulli_helper_matches_general_recursion_at_tree():
@@ -204,11 +204,11 @@ def test_bernoulli_helper_matches_general_recursion_at_tree():
 
 def test_degenerate_hitting_pairs():
     law = Poisson(1.0)
-    dead = PathOpenTables(law.cpgf, 0.0, 0.0)
+    dead = PathOpenTables(law.cpgf, 0.0, 0.0, k_max=8)
     for n in range(1, 5):
         assert dead.value(PathOpenQuery(1, 2, 2 * n - 1)) == 0.0
         assert dead.same_11(n) == 0.0
-    full = PathOpenTables(Constant(1).cpgf, 1.0, 1.0)
+    full = PathOpenTables(Constant(1).cpgf, 1.0, 1.0, k_max=8)
     for n in range(1, 5):
         assert abs(full.value(PathOpenQuery(1, 2, 2 * n - 1)) - 1.0) < 1e-15
         assert abs(full.value(PathOpenQuery(2, 2, 2 * n)) - 1.0) < 1e-15
