@@ -1,11 +1,10 @@
 """Critical-probability bounds and simulation for the frog model with
 death on biregular trees."""
 
-from .bounds import (AsymptoticRow, BoundsReport, DiskSeries, NoRootError,
-                     TABLE_REFERENCE, TABLE_ROWS, asymptotic_check, bounds_report,
-                     disk_mean_offspring, f_n_value, f_value, lb_alves,
-                     lb_biregular, spectral_radius, table1, ub_closed, ub_root,
-                     ub_root_n)
+from .bounds import (BoundsReport, DiskSeries, NoRootError, TABLE_REFERENCE,
+                     TABLE_ROWS, bounds_report, disk_mean_offspring, f_n_value,
+                     f_value, lb_alves, lb_biregular, spectral_radius, table1,
+                     ub_closed, ub_root, ub_root_n)
 from .hitting import (HittingPair, McEstimate, edge_open_prob, hitting_pair,
                       mc_hit_neighbor, system_residuals)
 from .laws import (Bernoulli, Constant, Geometric, InitLaw, Poisson,

@@ -11,8 +11,16 @@ The upper bound is the unique root in (0, 1) of the increasing function
 
     f(p) = alpha beta (1 + q(1-alpha)) (1 + q(1-beta)) - 1/(d1 d2),
 
-with q the activation probability of the law; f_n is the finite-path
-refinement whose root decreases to the same limit as n grows.
+with q the activation probability of the law.  Its finite-path refinement
+f_n = phi_n^{1/n} - 1/(d1 d2), with
+phi_n = q [alpha beta (1 + q(1-beta))]^n [1 + q(1-alpha)]^{n-1}, has the
+closed form
+
+    f_n(p) = alpha beta (1 + q(1-alpha)) (1 + q(1-beta)) (q / (1 + q(1-alpha)))^{1/n}
+             - 1/(d1 d2).
+
+The last factor is at most 1 and rises to 1 as n grows, so f_n <= f and
+the root of f_n decreases to the root of f.
 """
 
 from __future__ import annotations
@@ -94,28 +102,21 @@ def spectral_radius(t: TreeParams, mean_eta: float, p: float) -> float:
     return math.sqrt(m12 * m21)
 
 
+def _gap(t: TreeParams, q: float, p: float, inv_n: float) -> float:
+    """f_n at inv_n = 1/n, and f at inv_n = 0.0, where the last factor is 1.0."""
+    a, b = hitting_pair(t, p)
+    y = 1.0 + q * (1.0 - a)
+    return a * b * y * (1.0 + q * (1.0 - b)) * (q / y) ** inv_n - 1.0 / (t.d1 * t.d2)
+
+
 def f_value(t: TreeParams, q: float, p: float) -> float:
     """Criticality gap whose positive sign certifies survival is possible."""
-    q = _check_q(q)
-    a, b = hitting_pair(t, p)
-    return a * b * (1.0 + q * (1.0 - a)) * (1.0 + q * (1.0 - b)) - 1.0 / (t.d1 * t.d2)
+    return _gap(t, _check_q(q), p, 0.0)
 
 
 def f_n_value(t: TreeParams, q: float, n: int, p: float) -> float:
-    """Finite-n refinement phi_n(p)^{1/n} - 1/(d1 d2), evaluated in log space.
-
-    phi_n = q [a b (1 + q(1-b))]^n [1 + q(1-a)]^{n-1} underflows long before
-    its n-th root does, so the root is taken on logarithms.
-    """
-    q = _check_q(q)
-    n = _check_int("n", n, 1, math.inf)
-    p = _check_p(p)
-    if p == 0.0:
-        return -1.0 / (t.d1 * t.d2)
-    a, b = hitting_pair(t, p)
-    lg = (math.log(q) + n * math.log(a * b * (1.0 + q * (1.0 - b)))
-          + (n - 1) * math.log(1.0 + q * (1.0 - a)))
-    return math.exp(lg / n) - 1.0 / (t.d1 * t.d2)
+    """Finite-n refinement phi_n(p)^{1/n} - 1/(d1 d2), in its closed form."""
+    return _gap(t, _check_q(q), p, 1 / _check_int("n", n, 1, math.inf))
 
 
 def _bisect_increasing(f, what: str) -> float:
@@ -137,7 +138,7 @@ def ub_root(t: TreeParams, q: float = 1.0) -> float:
     """Upper bound on p_c: the root of f(t, q, .) in (0, 1)."""
     _check_not_11(t)
     q = _check_q(q)
-    return _bisect_increasing(lambda p: f_value(t, q, p), what="f")
+    return _bisect_increasing(lambda p: _gap(t, q, p, 0.0), what="f")
 
 
 def ub_root_n(t: TreeParams, q: float, n: int) -> float:
@@ -149,7 +150,8 @@ def ub_root_n(t: TreeParams, q: float, n: int) -> float:
     """
     _check_not_11(t)
     q = _check_q(q)
-    return _bisect_increasing(lambda p: f_n_value(t, q, n, p), what=f"f_n (q={q:g}, n={n})")
+    inv_n = 1 / _check_int("n", n, 1, math.inf)
+    return _bisect_increasing(lambda p: _gap(t, q, p, inv_n), what=f"f_n (q={q:g}, n={n})")
 
 
 def ub_closed(t: TreeParams) -> float:
@@ -214,6 +216,7 @@ class BoundsReport:
 
 
 def bounds_report(t: TreeParams, law: InitLaw) -> BoundsReport:
+    _check_not_11(t)
     return BoundsReport(
         d1=t.d1, d2=t.d2, eta=describe_law(law),
         mean_eta=law.mean, q=law.q,
@@ -228,25 +231,3 @@ def table1() -> list:
     """Bounds for the nine standard rows with eta == 1."""
     one = Constant(1)
     return [bounds_report(TreeParams(d1, d2), one) for d1, d2 in TABLE_ROWS]
-
-
-@dataclass(frozen=True)
-class AsymptoticRow:
-    d: int
-    lb_scaled: float
-    ub_scaled: float
-
-
-def asymptotic_check(d_list) -> list:
-    """Scaled gaps (bound - 1/2) * d for d1 = d2 = d and eta == 1.
-
-    The lower-bound gap tends to 1/4 and the closed-form upper-bound gap
-    is 1/2 exactly for every d.
-    """
-    out = []
-    for d in d_list:
-        t = TreeParams(d, d)
-        out.append(AsymptoticRow(d=d,
-                                 lb_scaled=(lb_biregular(t, 1.0) - 0.5) * d,
-                                 ub_scaled=(ub_closed(t) - 0.5) * d))
-    return out

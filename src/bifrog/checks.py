@@ -66,7 +66,7 @@ def check_pathprob() -> list:
     (relative gap, paths up to length 64 on a 5 x 5 x 5 grid of q, a, b), and
     path_open_prob is a probability nondecreasing in p."""
     worst = 0.0
-    a_hi, b_hi = (3 + 1) / (3 * (2 + 1)), (2 + 1) / (2 * (3 + 1))  # T(2,3) at p = 1
+    a_hi, b_hi = hitting.hitting_pair(TreeParams(2, 3), 1.0)
     for q in (0.1, 0.3, 0.5, 0.7, 1.0):
         for a in np.linspace(0.05, 0.95 * a_hi, 5).tolist():
             for b in np.linspace(0.05, 0.95 * b_hi, 5).tolist():
@@ -219,9 +219,9 @@ def check_disk() -> list:
 def check_asymptotics() -> list:
     """Criterion 14: on T(d,d) the scaled gaps (lb - 1/2) d increase toward
     1/4 and (ub_closed - 1/2) d is 1/2, at d = 10, 100, 1000."""
-    rows = bounds.asymptotic_check([10, 100, 1000])
-    lbs = [r.lb_scaled for r in rows]
-    ubs = [r.ub_scaled for r in rows]
+    ds = (10, 100, 1000)
+    lbs = [(bounds.lb_biregular(TreeParams(d, d), 1.0) - 0.5) * d for d in ds]
+    ubs = [(bounds.ub_closed(TreeParams(d, d)) - 0.5) * d for d in ds]
     ok_lb = all(x < y for x, y in zip(lbs, lbs[1:])) and abs(lbs[-1] - 0.25) < 0.01
     ok_ub = all(abs(u - 0.5) <= 1e-9 for u in ubs)
     return [

@@ -138,15 +138,27 @@ def test_f_n_converges_to_f_from_below_in_the_limit():
     gaps = [abs(f_n_value(t, q, n, p) - f_value(t, q, p)) for n in (5, 20, 80, 320)]
     assert all(x > y for x, y in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
+    # past the float range 1/n rounds to 0.0, which is the limit itself
+    assert f_n_value(t, q, 10**400, p) == f_value(t, q, p)
 
 
 def test_f_n_survives_deep_underflow():
     # the raw n-step path probability underflows double precision long
-    # before n = 200 on wide trees; the log-domain evaluation must not
+    # before n = 200 on wide trees; the closed form never forms it
     t = TreeParams(4, 10000)
     val = f_n_value(t, 1.0, 200, 0.9)
     assert math.isfinite(val)
     assert val > 0.0
+
+
+@given(d1=st.integers(1, 10_000), d2=st.integers(1, 10_000),
+       q=st.floats(0.0, 1.0, exclude_min=True), n=st.integers(1, 10**6),
+       p=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_f_n_never_exceeds_f(d1, d2, q, n, p):
+    # f_n is f times (q / (1 + q(1 - alpha)))^{1/n}, a factor at most 1
+    t = TreeParams(d1, d2)
+    assert f_n_value(t, q, n, p) <= f_value(t, q, p)
 
 
 # --- root-based upper bound ------------------------------------------------
@@ -246,7 +258,7 @@ def test_bounds_report_fields():
 
 
 def test_bounds_report_rejects_1_1():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"T_\{1,1\}"):
         bounds_report(TreeParams(1, 1), Constant(1))
 
 

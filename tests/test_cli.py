@@ -106,7 +106,7 @@ def test_bounds_without_closed_form_prints_an_empty_cell(capsys):
 def test_bounds_rejects_1_1_geometry(capsys):
     code, _, err = _run(capsys, "bounds", "--d1", "1", "--d2", "1")
     assert code == 2
-    assert "error" in err
+    assert "error" in err and "T_{1,1}" in err
 
 
 def test_bounds_rejects_malformed_law(capsys):

@@ -24,6 +24,7 @@ from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
 from bifrog.pathprob import PathOpenQuery, mc_path_open, path_open_prob
 from bifrog.sim import mc_range_vs_disk
 from bifrog.tree import TreeParams
+from mp_laws import mp_pgf
 
 TREES = [TreeParams(1, 2), TreeParams(2, 2), TreeParams(2, 3), TreeParams(3, 100)]
 P_GRID = [0.0, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0]
@@ -156,18 +157,6 @@ def test_edge_open_prob_definition():
             assert abs(got - want) < 1e-14
 
 
-def _mp_pgf(law, s):
-    """law's pgf at an mpmath s, from its definition."""
-    if isinstance(law, Constant):
-        return s ** law.k
-    if isinstance(law, Bernoulli):
-        return 1 - law.prob * (1 - s)
-    if isinstance(law, Poisson):
-        return mpmath.exp(law.mu * (s - 1))
-    r = mpmath.mpf(law.r)  # 1 - law.r would round in floats
-    return (1 - r) / (1 - r * s)
-
-
 @pytest.mark.parametrize("law", [Constant(1), Constant(3), Bernoulli(0.4), Poisson(1.0),
                                  Geometric(0.5)], ids=repr)
 def test_edge_open_prob_keeps_relative_precision(law):
@@ -182,7 +171,7 @@ def test_edge_open_prob_keeps_relative_precision(law):
                 ea, eb = edge_exponents(i, j, k)
                 z = mpmath.mpf(a) ** ea * mpmath.mpf(b) ** eb
                 with mpmath.workdps(40 - int(mpmath.log10(z))):
-                    want = 1 - _mp_pgf(law, 1 - z)
+                    want = 1 - mp_pgf(law, 1 - z)
                     got = edge_open_prob(t, law, p, i, j, k)
                     assert abs(got - want) <= 1e-12 * want, (p, k, i, j)
     assert edge_open_prob(t, Poisson(1.0), 0.5, 1, 1, 20) == pytest.approx(4.78e-17, rel=1e-3)

@@ -24,6 +24,7 @@ from bifrog.pathprob import (
     path_open_prob,
 )
 from bifrog.tree import TreeParams
+from mp_laws import mp_pgf
 
 Q_GRID = [0.1, 0.3, 0.5, 0.8, 1.0]
 AB_GRID = [(a, b) for a in (0.0, 0.2, 0.45, 0.6, 0.75) for b in (0.0, 0.25, 0.5, 0.65, 0.8)]
@@ -61,21 +62,6 @@ def test_recursion_matches_bernoulli_closed_form(q):
             assert abs(got - want) <= 1e-12 * want, (q, a, b, n)
 
 
-def _mp_cpgf(law):
-    """1 - pgf(1 - z) of law at the working mpmath precision, from the pgf's
-    definition."""
-    def pgf(s):
-        if isinstance(law, Constant):
-            return s ** law.k
-        if isinstance(law, Poisson):
-            return mpmath.exp(law.mu * (s - 1))
-        if isinstance(law, Geometric):
-            r = mpmath.mpf(law.r)  # 1 - law.r would round in floats
-            return (1 - r) / (1 - r * s)
-        return 1 - law.prob * (1 - s)
-    return lambda z: 1 - pgf(1 - mpmath.mpf(z))
-
-
 @pytest.mark.parametrize("law", [Constant(2), Bernoulli(0.6), Poisson(1.3), Geometric(0.45)],
                          ids=repr)
 def test_tables_keep_relative_precision_against_a_high_precision_run(law):
@@ -84,7 +70,7 @@ def test_tables_keep_relative_precision_against_a_high_precision_run(law):
     for a, b in ((0.62, 0.35), (0.5, 0.5), (0.3, 0.2)):
         tables = PathOpenTables(law.cpgf, a, b, k_max=64)
         with mpmath.workdps(120):
-            ref = PathOpenTables(_mp_cpgf(law), a, b, k_max=64)
+            ref = PathOpenTables(lambda z: 1 - mp_pgf(law, 1 - mpmath.mpf(z)), a, b, k_max=64)
             for i in (1, 2):
                 for j in (1, 2):
                     for n in range(1, 33):

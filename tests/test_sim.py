@@ -981,6 +981,36 @@ def test_gw_progeny_masses_hand_values():
     assert abs(masses[2] - 0.4) < 1e-15
 
 
+def test_progeny_draws_follow_gw_progeny_masses():
+    # 8,000 one-particle draws of the sampler per (law, parent type) on T(2,3)
+    # at p = 0.7: no draw lands on a zero mass, and the count in every bin
+    # of mass >= 0.05 (the last one open-ended) is within 5 standard errors
+    # of its expected count.  At most 20 bins x 2 types x 5 laws z-scores,
+    # each past 5 with chance 5.7e-7 (normal approximation, >= 400 expected
+    # draws a bin), fail at a random seed with chance < 1.2e-4.
+    draws_per_case, p = 8_000, 0.7
+    rng = np.random.default_rng(11)
+    for law in (Constant(1), Constant(3), Bernoulli(0.5), Poisson(1.0), Geometric(0.4)):
+        for ptype, d in ((1, T23.d1), (2, T23.d2)):
+            masses = gw_progeny_masses(T23, law, p, ptype)
+            draws = np.array([sim._progeny_total(rng, 1, p, d, law)
+                              for _ in range(draws_per_case)])
+            inside = draws[draws < len(masses)]
+            assert np.all(masses[inside] > 0.0), (law, ptype)
+            assert law.support_max is None or len(inside) == len(draws), (law, ptype)
+            edges, cuts = [0], [0.0]  # bin i is [edges[i], edges[i + 1]), the last open
+            for k, c in enumerate(np.cumsum(masses).tolist()):
+                if c - cuts[-1] >= 0.05 and 1.0 - c >= 0.05:
+                    edges.append(k + 1)
+                    cuts.append(c)
+            bin_mass = np.diff([*cuts, 1.0])
+            counts = np.bincount(np.searchsorted(edges, draws, side="right") - 1,
+                                 minlength=len(edges))
+            expected = draws_per_case * bin_mass
+            z = (counts - expected) / np.sqrt(expected * (1.0 - bin_mass))
+            assert np.max(np.abs(z)) <= 5.0, (law, ptype, z)
+
+
 def test_gw_progeny_masses_unbounded_law_near_one():
     masses = gw_progeny_masses(T23, Poisson(1.0), 0.7, 2)
     assert masses.sum() <= 1.0 + 1e-12
