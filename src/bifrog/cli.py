@@ -2,8 +2,9 @@
 
 Subcommands: bounds (one parameter row), table1 (the nine-row reference
 grid, exit 1 on any mismatch), sweep (Monte Carlo survival curves), and
-check (the paper's acceptance criteria 2-14, exit 1 on any failure).  Exit code 2 flags bad
-usage such as a malformed law spec or T_{1,1}.
+check (the paper's acceptance criteria 2-14, exit 1 on any failure).
+Exit code 2 flags bad usage such as a malformed law spec, T_{1,1} or an
+--output that cannot be written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__, bounds, checks, sim
-from .laws import parse_law
+from .laws import describe_law, parse_law
 from .tree import TreeParams
 
 SCHEMA_VERSION = 1
@@ -135,7 +136,7 @@ def cmd_sweep(args) -> int:
     config = sim.SimConfig(tree=t, law=law, p=ps[0], horizon=args.horizon,
                            awake_cap=args.awake_cap, seed=args.seed)
     extra = {"coupled": args.coupled, "seed": args.seed,
-             "eta": args.eta, "d1": args.d1, "d2": args.d2}
+             "eta": describe_law(law), "d1": args.d1, "d2": args.d2}
     if args.coupled:
         thresholds = sim.coupled_thresholds(config, sim.grid_p_max(ps),
                                             args.replicas)
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except sim.SimResourceError as exc:

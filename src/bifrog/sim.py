@@ -10,13 +10,15 @@ over all frogs of a time step: for small degrees one move is one gather
 from a flat neighbor table.  Every frog crosses one edge per step and a
 vertex is first entered at its own level parity, so all awake frogs share
 the parity of the time step and one degree serves the whole step.  Vertex
-ids, frog positions and jump slots are int32: ids stay below
-ACTIVATED_HARD_CAP, and the byte bound on the neighbor table keeps every
-flat index into it below 2**31.  A step makes few copies: the survival
-uniforms fill a view of one buffer per run, survivors are kept by
-compress, and the store gathers with take.  A step's frog arrays (the
+ids, frog positions and jump slots are int32: every vertex holds at
+least one int32 of its store, so TREE_BYTES keeps every id and every flat
+index into the neighbor table below 2**31.  A step makes few copies: the
+survival uniforms fill a view of one buffer per run, survivors are kept
+by compress, and the store gathers with take.  A step's frog arrays (the
 positions, that buffer and the step's temporaries) stay within
-FROG_ARRAY_BYTES.
+FROG_ARRAY_BYTES.  Memory has one rule, in bytes: each store is charged
+its size, or a measured size a vertex or frog, against TREE_BYTES or
+FROG_ARRAY_BYTES, and _check_bytes raises every SimResourceError it calls for.
 
 The coupled sweep is time-free: a replica survives at p when its
 activation cluster (the root, and every vertex a walk from an awake
@@ -25,9 +27,9 @@ than awake_cap frogs; horizon plays no part.  All p share one realization
 per replica, so one minimax pass (after Newman and Ziff) finds the
 replica's critical value p_hat, the least p at which the woken total
 exceeds the cap, and survival at every p < 1 is p_hat < p.  That pass
-moves one frog at a time in a loop that owns the replica's tree, with
-each walk a plain tuple, one per woken frog, whose bytes stay within
-FROG_ARRAY_BYTES; _Realization is the random environment alone.
+moves one frog at a time in a loop that owns the replica's tree (within
+TREE_BYTES), with each walk a plain tuple, one per woken frog (within
+FROG_ARRAY_BYTES); _Realization is the random environment alone.
 A walk-block read refills the one float buffer the realization owns, and
 the pass takes single words of it as Python floats, so a read is a
 counter reset and one fill, with no array or list made per read.
@@ -58,10 +60,11 @@ from .laws import InitLaw
 from .tree import TreeParams, _check_int, _check_real
 
 DENSE_CHILD_LIMIT = 64
-ACTIVATED_HARD_CAP = 10 ** 7
-#: largest dense store, in bytes, that _TreeTable holds at once: its neighbor
-#: table, and while the table grows the old and the new table together
-DENSE_TABLE_BYTES = 1 << 30
+#: largest tree store, in bytes, that a run holds at once: run_frog's dense
+#: neighbor table (while it grows, the old and the new table together), its
+#: dict store at _DICT_VERTEX_BYTES a vertex, or the coupled pass's tree at
+#: _TREE_VERTEX_BYTES a vertex
+TREE_BYTES = 1 << 30
 #: largest frog arrays, in bytes, that a run_frog step holds at once: the
 #: awake frogs' positions, the buffer of their survival uniforms and the
 #: step's per-frog temporaries; also the coupled pass's bound on its walks
@@ -80,32 +83,27 @@ _FROG_ITEMSIZE = 160
 #: or the heap, with its vertex's tree entries (tracemalloc peaks of 109-284
 #: bytes a frog on T(2,2) at caps 2e4 and 2e5, const:1, const:50, Poisson(2))
 _WALK_ITEMSIZE = 288
+#: bytes per vertex of run_frog's dict store: its int32 parent slot, its
+#: child-dict entry and their int objects (tracemalloc peaks of at most 161
+#: bytes a vertex on T(3,100), 2e3 to 2e6 vertices, just past a dict resize)
+_DICT_VERTEX_BYTES = 176
+#: bytes per vertex of the coupled pass's tree: its parent, child-dict and RNG-key
+#: entries (tracemalloc peaks of 143-212 bytes a vertex, its sparse walks included,
+#: on T(2,2) at Bernoulli(0.05) and Poisson(0.1), 2e3 to 3.5e5 vertices)
+_TREE_VERTEX_BYTES = 224
 
 
 class SimResourceError(RuntimeError):
-    """The run touched more vertices, held more awake frogs, or walked a frog
-    further, than a hard safety cap allows."""
+    """The run's tree or frogs would outgrow their byte budget, or a walk
+    would run further than the step guard allows."""
 
 
-def _check_vertex_count(need: int) -> None:
-    if need > ACTIVATED_HARD_CAP:
+def _check_bytes(count: int, itemsize: int, budget: int, what: str) -> None:
+    """The one memory rule: count items of itemsize bytes fit in budget."""
+    if count * itemsize > budget:
         raise SimResourceError(
-            f"run would activate more than {ACTIVATED_HARD_CAP} vertices; "
-            f"lower the horizon, awake_cap or p_max")
-
-
-def _check_frog_count(need: int) -> None:
-    if need > FROG_ARRAY_BYTES // _FROG_ITEMSIZE:
-        raise SimResourceError(
-            f"{need} awake frogs would need more than {FROG_ARRAY_BYTES} bytes "
-            f"of frog arrays; lower awake_cap or the law's mean")
-
-
-def _check_walk_count(need: int) -> None:
-    if need > FROG_ARRAY_BYTES // _WALK_ITEMSIZE:
-        raise SimResourceError(
-            f"{need} woken frogs' walks would need more than {FROG_ARRAY_BYTES} "
-            f"bytes; lower awake_cap or the law's mean")
+            f"{count} {what} would need more than {budget} bytes; "
+            f"lower the horizon, awake_cap or p_max, or change the law")
 
 
 def _extended(a: np.ndarray, size: int) -> np.ndarray:
@@ -128,23 +126,23 @@ class _TreeTable:
     child is unvisited (so the table grows by zero pages), and a move is
     one gather; the parent slot is written when the vertex is created.
     The table and its keys are int32 too: the table never outgrows
-    DENSE_TABLE_BYTES (while it grows, the old and the new table count
-    together), so a key is below DENSE_TABLE_BYTES / 4 entries,
+    TREE_BYTES (while it grows, the old and the new table count
+    together), so a key is below TREE_BYTES / 4 entries,
     which the constructor checks is at most 2**31.  Wider trees keep a
     flat parent array and a dict from the key of each child edge, an int64
-    key since it passes 2**31 on wide trees.  No level parity is stored:
-    run_frog's frogs all sit at the parity of the time step.
+    key since it passes 2**31 on wide trees; that store is charged
+    _DICT_VERTEX_BYTES a vertex against TREE_BYTES as _add hands out ids,
+    after a step's lookups (so its dict holds that step's fresh keys when
+    it raises), and its ids stay below TREE_BYTES / 4 as well.  No level
+    parity is stored: run_frog's frogs all sit at the parity of the step.
     """
 
     def __init__(self, t: TreeParams):
         self.dense = max(t.d1 + 1, t.d2) <= DENSE_CHILD_LIMIT
         self.stride = t.stride
-        top = np.iinfo(_VID).max
-        if ACTIVATED_HARD_CAP > top or (
-                self.dense and DENSE_TABLE_BYTES // _VID.itemsize > top + 1):
+        if TREE_BYTES // _VID.itemsize > np.iinfo(_VID).max + 1:
             raise SimResourceError(
-                f"{ACTIVATED_HARD_CAP} vertices or a {DENSE_TABLE_BYTES}-byte "
-                f"neighbor table would index past the {_VID} range")
+                f"a {TREE_BYTES}-byte tree store would index past the {_VID} range")
         cap = 1024
         if self.dense:
             self.nbr = np.zeros(cap * self.stride, dtype=_VID)
@@ -154,21 +152,17 @@ class _TreeTable:
         self.n = 1
 
     def _grow(self, need: int) -> None:
-        _check_vertex_count(need)
         cap = self.nbr.size // self.stride if self.dense else self.parent.size
-        if need <= cap:
-            return
-        new_cap = min(max(need, 2 * cap), ACTIVATED_HARD_CAP)
-        if self.dense:
-            # the old table stays alive while _extended copies it
-            fit = (DENSE_TABLE_BYTES - self.nbr.nbytes) // (self.stride * self.nbr.itemsize)
-            if need > fit:
-                raise SimResourceError(
-                    f"growing the neighbor table to {need} vertices would hold more "
-                    f"than {DENSE_TABLE_BYTES} bytes; lower the horizon or awake_cap")
-            self.nbr = _extended(self.nbr, min(new_cap, fit) * self.stride)
-        else:
-            self.parent = _extended(self.parent, new_cap)
+        if not self.dense:
+            _check_bytes(need, _DICT_VERTEX_BYTES, TREE_BYTES, "tree vertices")
+            if need > cap:
+                self.parent = _extended(self.parent, max(need, 2 * cap))
+        elif need > cap:
+            # the old table's cap rows stay alive while _extended copies them
+            row = self.stride * self.nbr.itemsize
+            _check_bytes(cap + need, row, TREE_BYTES, "neighbor-table rows, old and new,")
+            fit = TREE_BYTES // row - cap
+            self.nbr = _extended(self.nbr, min(max(need, 2 * cap), fit) * self.stride)
 
     def _add(self, pv: np.ndarray) -> np.ndarray:
         """Ids of new children of the vertices pv, one each, in order."""
@@ -255,7 +249,7 @@ def run_frog(config: SimConfig) -> SimOutcome:
     rng = _stream(config.seed, config.replica_index)
     table = _TreeTable(tree)
     eta_root = int(law.sample(rng, 1)[0])
-    _check_frog_count(eta_root)
+    _check_bytes(eta_root, _FROG_ITEMSIZE, FROG_ARRAY_BYTES, "awake frogs")
     pos = np.zeros(eta_root, dtype=_VID)
     uniforms = np.empty(eta_root)
     max_awake = eta_root
@@ -277,7 +271,8 @@ def run_frog(config: SimConfig) -> SimOutcome:
             if fresh.size:
                 counts = law.sample(rng, fresh.size)
                 woken = int(counts.sum())
-                _check_frog_count(survivors + woken)
+                _check_bytes(survivors + woken, _FROG_ITEMSIZE, FROG_ARRAY_BYTES,
+                             "awake frogs")
                 pos = np.concatenate([targets, np.repeat(fresh, counts)])
             else:
                 pos = targets
@@ -434,9 +429,11 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     degs, stride = (t.d1 + 1, t.d2 + 1), t.stride
     parent, child, rng_key = [-1], {}, [0]
     push, cap = heapq.heappush, config.awake_cap
-    # past limit the pass survives at the cap, or its walks outgrow the bound
+    # past limit the pass survives at the cap, or its walks outgrow the bound;
+    # a new vertex id at or past tree_limit outgrows the tree's
     limit = min(cap, FROG_ARRAY_BYTES // _WALK_ITEMSIZE)
-    pairs, max_steps, hard_cap = _BLOCK_PAIRS, _MAX_WALK_STEPS, ACTIVATED_HARD_CAP
+    tree_limit = TREE_BYTES // _TREE_VERTEX_BYTES
+    pairs, max_steps = _BLOCK_PAIRS, _MAX_WALK_STEPS
     # blocks below `full` end before the step guard, so they stop at pairs
     full = max_steps // pairs
     total = eta(0)
@@ -445,7 +442,7 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     if total > limit:
         if total > cap:
             return 0.0, True
-        _check_walk_count(total)
+        _check_bytes(total, _WALK_ITEMSIZE, FROG_ARRAY_BYTES, "woken frogs' walks")
     # a walk: (key, frog, block, i, pos, odd), frog `frog` of the vertex with
     # RNG key `key`, at pos (parity odd) before step i of block `block`
     ready = [(0, f, 0, 0, 0, 0) for f in range(total)]
@@ -486,8 +483,8 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
                     pos = y
                     continue
                 y = len(parent)
-                if y >= hard_cap:
-                    _check_vertex_count(y + 1)
+                if y >= tree_limit:
+                    _check_bytes(y + 1, _TREE_VERTEX_BYTES, TREE_BYTES, "tree vertices")
                 child[edge] = y
                 parent.append(pos)
                 vkey = _child_key(rng_key[pos], slot - (pos != 0))
@@ -498,7 +495,7 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
                 if total > limit:
                     if total > cap:
                         return level, True
-                    _check_walk_count(total)
+                    _check_bytes(total, _WALK_ITEMSIZE, FROG_ARRAY_BYTES, "woken frogs' walks")
                 if k == 1:
                     ready.append((vkey, 0, 0, 0, pos, odd))
                 elif k:

@@ -17,8 +17,6 @@ from bifrog import bounds
 from bifrog.bounds import (
     TABLE_REFERENCE,
     TABLE_ROWS,
-    BoundsReport,
-    DiskSeries,
     NoRootError,
     bounds_report,
     disk_mean_offspring,

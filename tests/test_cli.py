@@ -208,6 +208,28 @@ def test_sweep_output_file(tmp_path, capsys):
     assert doc["rows"][0]["replicas"] == 10
 
 
+def test_sweep_json_spells_the_law_as_bounds_does(capsys):
+    argv = ("--d1", "2", "--d2", "3", "--eta", "Poisson:1.50", "--format", "json")
+    docs = []
+    for command in (("bounds",), ("sweep", "--p", "0.5", "--replicas", "2")):
+        code, out, _ = _run(capsys, *command, *argv)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0]["rows"][0]["eta"] == docs[1]["eta"] == "poisson:1.5"
+
+
+@pytest.mark.parametrize("command", [("table1",), ("sweep", "--d1", "2", "--d2", "2",
+                                                   "--p", "0.5", "--replicas", "2")],
+                         ids=["table1", "sweep"])
+def test_unwritable_output_exits_two(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, *command, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_sweep_coupled_rejects_awake_cap_zero(capsys):
     code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2", "--p", "0.1",
                           "--replicas", "3", "--coupled", "--awake-cap", "0")
@@ -217,12 +239,13 @@ def test_sweep_coupled_rejects_awake_cap_zero(capsys):
 
 
 def test_sweep_resource_error_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(sim, "ACTIVATED_HARD_CAP", 500)
+    bound = 1 << 16
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
     code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2", "--p", "1",
                           "--replicas", "2", "--awake-cap", "1000000")
     assert code == 1
     assert out == ""
-    assert err.startswith("resource error:")
+    assert err.startswith("resource error:") and f"{bound} bytes" in err
 
 
 def test_sweep_frog_byte_bound_exits_one(capsys, monkeypatch):

@@ -20,7 +20,9 @@ Killed walks have one kernel, hitting._distance_chain, so every `while`
 loop in the package sits there, in the path-open tables' fill or in the
 coupled pass: no Monte Carlo oracle grows a walk loop of its own.
 The count of settable values is pinned, so a change that adds or removes
-one must update SETTABLE_VALUES and say why.
+one must update SETTABLE_VALUES and say why.  Every module of the package
+and of the tests reads each name it imports, bar the package's __init__.py,
+whose imports are its re-exports, and __future__ imports.
 """
 
 import ast
@@ -208,6 +210,32 @@ def test_only_check_real_floats_a_parameter():
     found = [f"{name}:{where}" for name, tree in _package_sources()
              for where in _floats_a_parameter(tree)]
     assert found == ["tree.py:_check_real"]
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads, in the order of the imports;
+    `import a.b` binds a, and __future__ imports bind nothing."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_module_reads_its_imports():
+    probe = ast.parse("from __future__ import annotations\nimport os, os.path as osp\n"
+                      "import numpy.random\nfrom math import pi, tau as t\n"
+                      "def f(x: np.ndarray):\n    return numpy.random, tau, t\n")
+    assert _unused_imports(probe) == ["os", "osp", "pi"]
+    tests = [(f"tests/{path.name}", ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(Path(__file__).parent.glob("*.py"))]
+    found = [f"{name}:{unused}"
+             for name, tree in [*_package_sources(), *tests] if name != "__init__.py"
+             for unused in _unused_imports(tree)]
+    assert found == []
 
 
 def _is_dataclass(node):

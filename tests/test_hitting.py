@@ -6,8 +6,6 @@ solution), by exact endpoint values at p in {0, 1}, and by direct Monte
 Carlo of the killed walk.
 """
 
-import math
-
 import mpmath
 import numpy as np
 import pytest

@@ -27,11 +27,9 @@ from bifrog.hitting import edge_open_prob
 from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
 from bifrog.sim import (
     CoupledThresholds,
-    GwOutcome,
     SimConfig,
     SimOutcome,
     SimResourceError,
-    SurvivalEstimate,
     coupled_thresholds,
     estimate_survival,
     gw_progeny_masses,
@@ -133,12 +131,18 @@ def test_config_takes_numpy_integers():
     assert run_frog(as_numpy) == run_frog(cfg)
 
 
-def test_hard_cap_raises_resource_error(monkeypatch):
-    monkeypatch.setattr(sim, "ACTIVATED_HARD_CAP", 500)
-    cfg = SimConfig(tree=T22, law=Constant(1), p=1.0,
-                    horizon=10_000, awake_cap=10**6, seed=0)
-    with pytest.raises(SimResourceError):
+def test_dict_store_byte_bound_raises_resource_error(monkeypatch):
+    bound = 500 * sim._DICT_VERTEX_BYTES
+    cfg = SimConfig(tree=T3_100, law=Constant(1), p=1.0,
+                    horizon=10_000, awake_cap=10_000, seed=0)
+    capped = dataclasses.replace(cfg, awake_cap=100)
+    unpatched = run_frog(capped)
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
+    with pytest.raises(SimResourceError,
+                       match=rf"^\d+ tree vertices would need more than {bound} bytes"):
         run_frog(cfg)
+    # a cap that ends the run within the bound leaves its outcome as it was
+    assert unpatched.vertices_activated <= 500 and run_frog(capped) == unpatched
 
 
 def test_wide_tree_uses_sparse_children():
@@ -154,11 +158,8 @@ def test_wide_tree_uses_sparse_children():
 
 def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
     size = sim._TreeTable(T22).nbr.itemsize
-    # at stride 3 the bound never binds before the vertex cap does, though a
-    # growth to the cap holds the old table beside the new one
-    assert sim.DENSE_TABLE_BYTES >= 2 * sim.ACTIVATED_HARD_CAP * 3 * size
     bound = 3_000 * 3 * size  # 3,000 vertices of T(2,2)
-    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
     table = sim._TreeTable(T22)
     # doubling would ask for 2,048 vertices beside the first table's 1,024
     table._grow(1_500)
@@ -169,14 +170,17 @@ def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
                     awake_cap=10**6, seed=0)
     with pytest.raises(SimResourceError, match="bytes"):
         run_frog(cfg)
-    # the dict store of a wide tree holds no neighbor table
+    # the dict store of a wide tree holds no neighbor table, but the same
+    # bound charges it _DICT_VERTEX_BYTES a vertex: this run reaches 2,000
+    # vertices when no bound binds
     wide = dataclasses.replace(cfg, tree=T3_100, p=0.9, awake_cap=5_000)
-    assert run_frog(wide).vertices_activated > 2_000
+    with pytest.raises(SimResourceError, match="tree vertices"):
+        run_frog(wide)
 
 
 def test_dense_store_stays_within_the_byte_bound(monkeypatch):
     bound = 1 << 16
-    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
     table = sim._TreeTable(T22)
     row = table.stride * table.nbr.itemsize
     # one growth from the first 1,024 rows takes what the bound leaves
@@ -195,7 +199,7 @@ def test_dense_store_growth_peak_stays_within_the_byte_bound(monkeypatch):
     # the old table is alive while the new one is filled, so the bound must
     # cover both: tracemalloc sees numpy's data allocations
     bound = 1 << 20
-    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", bound)
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
     tracemalloc.start()
     try:
         table = sim._TreeTable(T22)
@@ -213,13 +217,56 @@ def test_dense_store_growth_peak_stays_within_the_byte_bound(monkeypatch):
     assert peak <= bound + 4096
 
 
+def test_dict_store_growth_peak_stays_within_the_byte_bound(monkeypatch):
+    # just past a child-dict resize the old and the new hash table are both
+    # alive, the store's costliest point a vertex
+    bound = 21_900 * sim._DICT_VERTEX_BYTES
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
+    rng = np.random.default_rng(1)
+    degs = (T3_100.d1 + 1, T3_100.d2 + 1)
+    tracemalloc.start()
+    try:
+        table = sim._TreeTable(T3_100)
+        pos = np.zeros(16, dtype=table.parent.dtype)
+        with pytest.raises(SimResourceError, match="tree vertices"):
+            # 1,579 steps reach the bound; the loop ends either way
+            for now in range(4_000):
+                slot = rng.integers(0, degs[now % 2], size=pos.size, dtype=pos.dtype)
+                pos, _ = table.move(pos, slot)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the peak reads 156 bytes a vertex, the last step's fresh keys included
+    assert 21_800 < table.n <= 21_900 and peak <= bound
+
+
+def test_coupled_tree_peak_stays_within_the_byte_bound(monkeypatch):
+    bound = 21_900 * sim._TREE_VERTEX_BYTES
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
+    # a cap of 3,000 woken frogs ends the pass if the bound does not
+    cfg = SimConfig(tree=T22, law=Bernoulli(0.05), p=0.5, awake_cap=3_000, seed=0,
+                    replica_index=39)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimResourceError, match="^21901 tree vertices"):
+            coupled_thresholds(cfg, 0.995, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the peak reads 205 bytes a vertex, past a child-dict resize and with
+    # the walks of the pass's woken frogs
+    assert peak <= bound
+
+
 def test_int32_index_range_raises_before_allocating(monkeypatch):
     size = sim._TreeTable(T22).nbr.itemsize
     assert size == 4
     # 2**31 entries is the largest table whose flat indices fit in int32
-    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", 2 ** 31 * size)
+    monkeypatch.setattr(sim, "TREE_BYTES", 2 ** 31 * size)
     assert sim._TreeTable(T22).nbr.dtype == np.int32
-    monkeypatch.setattr(sim, "DENSE_TABLE_BYTES", (2 ** 31 + 1) * size)
+    # the dict store holds at least an int32 a vertex, so its ids fit too
+    assert sim._TreeTable(T3_100).parent.dtype == np.int32
+    monkeypatch.setattr(sim, "TREE_BYTES", (2 ** 31 + 1) * size)
     tracemalloc.start()
     try:
         with pytest.raises(SimResourceError, match="int32"):
@@ -229,16 +276,13 @@ def test_int32_index_range_raises_before_allocating(monkeypatch):
         tracemalloc.stop()
     # the first neighbor table alone would take 1024 rows of three 4-byte ids
     assert peak < 1024 * size
-    # the dict store keeps no flat table, so only its ids are bounded
-    assert sim._TreeTable(T3_100).parent.dtype == np.int32
-    monkeypatch.setattr(sim, "ACTIVATED_HARD_CAP", 2 ** 31)
     with pytest.raises(SimResourceError, match="int32"):
         sim._TreeTable(T3_100)
 
 
 def test_wide_dict_keys_pass_the_int32_range():
     # at stride 10,001 the key v * stride + slot passes 2**31 once
-    # v > 214,726, far below ACTIVATED_HARD_CAP
+    # v > 214,726, far below the vertices TREE_BYTES lets the dict store hold
     table = sim._TreeTable(TreeParams(4, 10_000))
     v = 2 ** 31 // table.stride + 1
     table._add(np.zeros(v, dtype=table.parent.dtype))  # ids 1..v below the root
@@ -531,11 +575,20 @@ def test_tree_table_moves_match_the_address_oracle(tree, jumps):
         assert none.size == 0
 
 
-def test_realization_hard_cap_raises_resource_error(monkeypatch):
-    monkeypatch.setattr(sim, "ACTIVATED_HARD_CAP", 50)
-    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, awake_cap=10**6, seed=50)
-    with pytest.raises(SimResourceError):
-        coupled_thresholds(cfg, 0.95, 5)
+def test_coupled_tree_byte_bound_raises_where_the_walk_bound_does_not(monkeypatch):
+    # at Bernoulli(0.05) most woken vertices hold no frog, so this pass
+    # passes 5,000 tree vertices before it wakes its 2,001st frog
+    cfg = SimConfig(tree=T22, law=Bernoulli(0.05), p=0.5, awake_cap=2_000, seed=0,
+                    replica_index=39)
+    # the walks of 2,000 woken frogs fill their bound exactly, and the pass
+    # ends at the cap
+    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", 2_000 * sim._WALK_ITEMSIZE)
+    assert coupled_thresholds(cfg, 0.995, 1).p_hat[0] < 0.995
+    bound = 5_000 * sim._TREE_VERTEX_BYTES
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
+    with pytest.raises(SimResourceError, match=f"^5001 tree vertices would need more than "
+                                               f"{bound} bytes"):
+        coupled_thresholds(cfg, 0.995, 1)
 
 
 # --- survival estimation ----------------------------------------------------
