@@ -132,7 +132,7 @@ def cmd_table1(args) -> int:
 def cmd_sweep(args) -> int:
     t = TreeParams(args.d1, args.d2)
     law = parse_law(args.eta)
-    ps = parse_p_grid(args.p)
+    ps = sim.check_grid(parse_p_grid(args.p))
     config = sim.SimConfig(tree=t, law=law, p=ps[0], horizon=args.horizon,
                            awake_cap=args.awake_cap, seed=args.seed)
     extra = {"coupled": args.coupled, "seed": args.seed,

@@ -42,8 +42,9 @@ pass keeps its replica's stream and resets the counter to (offset, frog,
 purpose, vertex RNG key) before each read.  A vertex's RNG key hashes its
 parent's key and its child index, so every random number is fixed by the
 vertex, frog and purpose, whatever p asks for it and in whatever order
-the tree is explored.  A vertex's eta is one scalar law.draw; a law with
-one support point (a Constant) skips the draw and its reset.
+the tree is explored.  A vertex's eta is one scalar law.draw; for a law
+with one support point (a Constant) the pass reads _Realization.const
+instead, with no draw and no reset.
 """
 
 from __future__ import annotations
@@ -130,10 +131,9 @@ class _TreeTable:
     together), so a key is below TREE_BYTES / 4 entries,
     which the constructor checks is at most 2**31.  Wider trees keep a
     flat parent array and a dict from the key of each child edge, an int64
-    key since it passes 2**31 on wide trees; that store is charged
-    _DICT_VERTEX_BYTES a vertex against TREE_BYTES as _add hands out ids,
-    after a step's lookups (so its dict holds that step's fresh keys when
-    it raises), and its ids stay below TREE_BYTES / 4 as well.  No level
+    key since it passes 2**31 on wide trees; move charges that store
+    _DICT_VERTEX_BYTES a vertex against TREE_BYTES before its dict holds
+    the vertex, so its ids stay below TREE_BYTES / 4 as well.  No level
     parity is stored: run_frog's frogs all sit at the parity of the step.
     """
 
@@ -153,10 +153,8 @@ class _TreeTable:
 
     def _grow(self, need: int) -> None:
         cap = self.nbr.size // self.stride if self.dense else self.parent.size
-        if not self.dense:
-            _check_bytes(need, _DICT_VERTEX_BYTES, TREE_BYTES, "tree vertices")
-            if need > cap:
-                self.parent = _extended(self.parent, max(need, 2 * cap))
+        if need > cap and not self.dense:
+            self.parent = _extended(self.parent, max(need, 2 * cap))
         elif need > cap:
             # the old table's cap rows stay alive while _extended copies them
             row = self.stride * self.nbr.itemsize
@@ -201,12 +199,17 @@ class _TreeTable:
         targets[to_parent] = self.parent.take(movers.take(to_parent))
         # fresh ids follow the order in which the movers reach them
         child, n = self.child, self.n
+        # a new vertex id at or past limit outgrows the store's bytes
+        limit = TREE_BYTES // _DICT_VERTEX_BYTES
         got, new_keys = [], []
         keys = movers.take(to_child).astype(np.int64) * self.stride + slot.take(to_child)
         for key in keys.tolist():
             y = child.get(key)
             if y is None:
-                y = child[key] = n + len(new_keys)
+                y = n + len(new_keys)
+                if y >= limit:
+                    _check_bytes(y + 1, _DICT_VERTEX_BYTES, TREE_BYTES, "tree vertices")
+                child[key] = y
                 new_keys.append(key)
             got.append(y)
         fresh = _EMPTY
@@ -360,14 +363,14 @@ class _Realization:
     collision would reuse random numbers, never merge vertices).  eta and
     walk_block take that key and read Philox under the replica key with
     counter (offset, frog, purpose, key): eta, one scalar law.draw with
-    purpose _PUR_ETA (const for a law with one support point, no draw),
-    and a frog's lifetime and jump uniforms with purpose _PUR_WALK, in
-    blocks of _BLOCK_PAIRS pairs that are consecutive pieces of one
-    stream.  Every read first resets the counter in _seek, the one writer
-    of the replica's Philox state.  walk_block fills one float64 buffer,
-    buf, of 2 * _BLOCK_PAIRS words in place and returns it: its words hold
-    until the next walk_block, so a caller that keeps a block copies it
-    (an eta read leaves buf alone).
+    purpose _PUR_ETA for every law, and a frog's lifetime and jump
+    uniforms with purpose _PUR_WALK, in blocks of _BLOCK_PAIRS pairs that
+    are consecutive pieces of one stream.  Every read first resets the
+    counter in _seek, the one writer of the replica's Philox state.
+    walk_block fills one float64 buffer, buf, of 2 * _BLOCK_PAIRS words in
+    place and returns it: its words hold until the next walk_block, so a
+    caller that keeps a block copies it (an eta read leaves buf alone).
+    The pass reads const (a one-point law's value, else None), not eta.
     """
 
     def __init__(self, config: SimConfig, replica: int):
@@ -389,8 +392,6 @@ class _Realization:
         self.gen.bit_generator.state = self._state
 
     def eta(self, key: int) -> int:
-        if self.const is not None:
-            return self.const
         self._seek(key, 0, _PUR_ETA, 0)
         return self.law.draw(self.gen)
 
@@ -436,7 +437,7 @@ def _replica_threshold(config: SimConfig, p_max: float, replica: int) -> tuple:
     pairs, max_steps = _BLOCK_PAIRS, _MAX_WALK_STEPS
     # blocks below `full` end before the step guard, so they stop at pairs
     full = max_steps // pairs
-    total = eta(0)
+    total = const if const is not None else eta(0)
     if total == 0 or p_max <= 0.0:
         return math.inf, total >= 1
     if total > limit:
@@ -550,6 +551,14 @@ class CoupledThresholds:
         return out
 
 
+def check_grid(p_values) -> list:
+    """A non-empty p grid's points, each checked as a p, as Python floats."""
+    ps = [_check_p(x) for x in p_values]
+    if not ps:
+        raise ValueError("p grid must be non-empty")
+    return ps
+
+
 def grid_p_max(p_values) -> float:
     """p_max for a coupled grid: its largest point below 1, else 0."""
     return max((x for x in p_values if x < 1.0), default=0.0)
@@ -583,9 +592,7 @@ def sweep(config: SimConfig, p_values, replicas: int, coupled: bool = False) -> 
     survives at p < 1 iff p_hat < p, so the indicator is nondecreasing in
     p by construction; at p = 1 it survives iff its root holds a frog.
     """
-    ps = [_check_p(x) for x in p_values]
-    if not ps:
-        raise ValueError("p grid must be non-empty")
+    ps = check_grid(p_values)
     if not coupled:
         return [estimate_survival(replace(config, p=x), replicas) for x in ps]
     return coupled_thresholds(config, grid_p_max(ps), replicas).estimates(ps)

@@ -6,11 +6,12 @@ the root as a tuple of child indices; the root is the empty tuple.  The
 root carries d1 + 1 children (it has no parent), every other even-level
 vertex carries d1 and every odd-level vertex carries d2.
 
-The simulator keeps its own integer-id tree stores; the address helpers
-here are the independent oracle the tests check all three of them
-against.  neighbors(t, addr)[slot] is the neighbor the stores reach
+The simulator keeps its own integer-id tree stores; neighbors is the one
+address helper here, the independent oracle the tests check all three of
+them against.  neighbors(t, addr)[slot] is the neighbor the stores reach
 through slot, and a store keys that edge v * stride + slot, with v the
-id of addr and stride TreeParams.stride, max(d1, d2) + 1.
+id of addr and stride TreeParams.stride, max(d1, d2) + 1.  A vertex's
+degree is len(neighbors(t, addr)) and its parent addr[:-1].
 
 Inputs pass one of two rules here or raise ValueError: _check_int takes what
 operator.index takes, bar a bool, in [low, high]; _check_real a finite
@@ -24,12 +25,10 @@ import numbers
 import operator
 from dataclasses import dataclass
 
-VertexAddr = tuple
-
 #: largest d1 or d2: the d + 1 neighbor slots of a vertex fit the simulator's int32 slot draw
 _D_MAX = 2 ** 31 - 2
 
-ROOT: VertexAddr = ()
+ROOT = ()
 
 
 def _check_int(name: str, value, low: int, high: float) -> int:
@@ -76,39 +75,13 @@ class TreeParams:
         return max(self.d1, self.d2) + 1
 
 
-def parity(addr: VertexAddr) -> int:
-    """Type of the vertex: 1 on even levels (root included), 2 on odd."""
-    return 1 if len(addr) % 2 == 0 else 2
-
-
-def degree(t: TreeParams, addr: VertexAddr) -> int:
-    return t.d1 + 1 if parity(addr) == 1 else t.d2 + 1
-
-
-def num_children(t: TreeParams, addr: VertexAddr) -> int:
-    depth = len(addr)
-    if depth == 0:
-        return t.d1 + 1
-    return t.d1 if depth % 2 == 0 else t.d2
-
-
-def parent(addr: VertexAddr) -> VertexAddr:
-    if not addr:
-        raise ValueError("the root has no parent")
-    return addr[:-1]
-
-
-def children(t: TreeParams, addr: VertexAddr) -> list:
-    return [addr + (c,) for c in range(num_children(t, addr))]
-
-
-def neighbors(t: TreeParams, addr: VertexAddr) -> list:
-    """All degree(addr) neighbors, parent first for non-root vertices.
+def neighbors(t: TreeParams, addr: tuple) -> list:
+    """All neighbors of addr, parent first for non-root vertices.
 
     The index into this list is the stores' neighbor slot: at the root
     slot c is child c, below it slot 0 is the parent and slot c + 1 child c.
     """
-    out = [] if not addr else [addr[:-1]]
-    out.extend(children(t, addr))
-    return out
-
+    if not addr:
+        return [(c,) for c in range(t.d1 + 1)]
+    width = t.d2 if len(addr) % 2 else t.d1
+    return [addr[:-1], *(addr + (c,) for c in range(width))]

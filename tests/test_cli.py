@@ -288,6 +288,19 @@ def test_sweep_rejects_bad_grid(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("grid", ["0.9,1.5", "0.9,nan"])
+def test_sweep_coupled_rejects_bad_grid_before_any_replica(capsys, monkeypatch, grid):
+    def no_replica(*args):
+        raise AssertionError("a replica ran before the grid was checked")
+
+    monkeypatch.setattr(sim, "_replica_threshold", no_replica)
+    code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2", "--p", grid,
+                          "--coupled", "--replicas", "300", "--awake-cap", "2000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: survival parameter p must be")
+
+
 @pytest.mark.parametrize("grid", ["0.5:inf:0.1", "0:1:1e-15", "0:1:1e-320"])
 def test_sweep_rejects_unbounded_grid(capsys, grid):
     code, out, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2",

@@ -7,15 +7,17 @@ home, _Realization._seek, which reuses a single state dict, so nothing
 else in the package may assign a bit generator's state.  Random streams
 have one constructor, hitting._stream, so nothing else in the package
 builds a Philox or a SeedSequence: the coupled realization takes its
-stream from _stream too and reads the key back for _seek.  Integer
-inputs have one rule, tree._check_int, so nothing else in the package
-tests isinstance(_, int) or names __index__ or operator.index; real
-inputs have one rule, tree._check_real, so no other function in the
-package calls float() on one of its own parameters.  The complement
-1 - pgf(1 - z) has one home, InitLaw.cpgf, whose closed forms keep full
-precision at small z, so nothing else in the package names a law's pgf,
-to call it or to pass it on, where that complement could be formed again
-with cancellation.
+stream from _stream too and reads the key back for _seek.  Every memory
+SimResourceError is raised by sim._check_bytes, so the error is built only
+there, in the int32 range check of _TreeTable.__init__ and in the coupled
+pass's walk step guard.  Integer inputs have one rule, tree._check_int, so
+nothing else in the package tests isinstance(_, int) or names __index__
+or operator.index; real inputs have one rule, tree._check_real, so no
+other function in the package calls float() on one of its own
+parameters.  The complement 1 - pgf(1 - z) has one home, InitLaw.cpgf,
+whose closed forms keep full precision at small z, so nothing else in the
+package names a law's pgf, to call it or to pass it on, where that
+complement could be formed again with cancellation.
 Killed walks have one kernel, hitting._distance_chain, so every `while`
 loop in the package sits there, in the path-open tables' fill or in the
 coupled pass: no Monte Carlo oracle grows a walk loop of its own.
@@ -122,6 +124,25 @@ def test_only_the_stream_helper_builds_a_stream():
              for where in _sites(tree, _builds_stream)]
     # its Philox and its SeedSequence
     assert found == ["hitting.py:_stream"] * 2
+
+
+def _builds_resource_error(node):
+    """A call of anything named SimResourceError, as sim.SimResourceError(...)
+    or SimResourceError(...)."""
+    return isinstance(node, ast.Call) and _name(node.func) == "SimResourceError"
+
+
+def test_resource_errors_are_built_in_three_places():
+    probe = ast.parse("from bifrog import sim\nfrom bifrog.sim import SimResourceError\n"
+                      "def f(n):\n    if n:\n        raise sim.SimResourceError(n)\n"
+                      "    return SimResourceError\n"
+                      "class A:\n    def g(self):\n        return [SimResourceError('x')]\n")
+    assert _sites(probe, _builds_resource_error) == ["f", "A.g"]
+    found = [f"{name}:{where}" for name, tree in _package_sources()
+             for where in _sites(tree, _builds_resource_error)]
+    # every memory error, the int32 range of a store's ids, the walk step guard
+    assert found == ["sim.py:_check_bytes", "sim.py:_TreeTable.__init__",
+                     "sim.py:_replica_threshold"]
 
 
 def _tests_for_an_integer(node):

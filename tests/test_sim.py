@@ -39,7 +39,7 @@ from bifrog.sim import (
     sweep,
     wilson_interval,
 )
-from bifrog.tree import ROOT, TreeParams, degree, neighbors, parent
+from bifrog.tree import ROOT, TreeParams, neighbors
 
 T22 = TreeParams(2, 2)
 T23 = TreeParams(2, 3)
@@ -217,7 +217,8 @@ def test_dense_store_growth_peak_stays_within_the_byte_bound(monkeypatch):
     assert peak <= bound + 4096
 
 
-def test_dict_store_growth_peak_stays_within_the_byte_bound(monkeypatch):
+@pytest.mark.parametrize("movers", [16, 100_000])
+def test_dict_store_growth_peak_stays_within_the_byte_bound(monkeypatch, movers):
     # just past a child-dict resize the old and the new hash table are both
     # alive, the store's costliest point a vertex
     bound = 21_900 * sim._DICT_VERTEX_BYTES
@@ -227,17 +228,22 @@ def test_dict_store_growth_peak_stays_within_the_byte_bound(monkeypatch):
     tracemalloc.start()
     try:
         table = sim._TreeTable(T3_100)
-        pos = np.zeros(16, dtype=table.parent.dtype)
-        with pytest.raises(SimResourceError, match="tree vertices"):
-            # 1,579 steps reach the bound; the loop ends either way
+        pos = np.zeros(movers, dtype=table.parent.dtype)
+        with pytest.raises(SimResourceError, match="^21901 tree vertices"):
+            # 16 movers take 1,579 steps to reach the bound; the loop ends either way
             for now in range(4_000):
                 slot = rng.integers(0, degs[now % 2], size=pos.size, dtype=pos.dtype)
                 pos, _ = table.move(pos, slot)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the peak reads 156 bytes a vertex, the last step's fresh keys included
-    assert 21_800 < table.n <= 21_900 and peak <= bound
+    # the store is charged before it holds a vertex, so the raise comes on
+    # the 21,901st, mid-step, with every vertex but the root keyed in the dict
+    assert len(table.child) == 21_899
+    # the peak reads 156 bytes a vertex at 16 movers, and the bound plus 58
+    # bytes a mover at 100,000: the movers and their temporaries are
+    # charged to FROG_ARRAY_BYTES
+    assert peak <= bound + movers * sim._FROG_ITEMSIZE
 
 
 def test_coupled_tree_peak_stays_within_the_byte_bound(monkeypatch):
@@ -545,7 +551,7 @@ def test_tree_table_moves_match_the_address_oracle(tree, jumps):
     ids, addrs = {ROOT: 0}, {0: ROOT}
     pos = np.zeros(len(jumps[0]), dtype=vid)
     for step, us in enumerate(jumps):
-        deg = np.array([degree(tree, addrs[v]) for v in pos.tolist()])
+        deg = np.array([len(neighbors(tree, addrs[v])) for v in pos.tolist()])
         # run_frog draws one degree per step: all walkers share its parity
         assert set(deg.tolist()) == {tree.d2 + 1 if step % 2 else tree.d1 + 1}
         slot = np.minimum((np.array(us) * deg).astype(np.int64), deg - 1).astype(vid)
@@ -563,7 +569,7 @@ def test_tree_table_moves_match_the_address_oracle(tree, jumps):
             _bind(ids, addrs, y, a)
         if table.dense:
             # fresh ids ascend in (parent id, slot) order
-            keys = [(ids[parent(addrs[y])], addrs[y][-1] + (len(addrs[y]) > 1))
+            keys = [(ids[addrs[y][:-1]], addrs[y][-1] + (len(addrs[y]) > 1))
                     for y in fresh.tolist()]
             assert keys == sorted(keys)
         else:
@@ -571,7 +577,7 @@ def test_tree_table_moves_match_the_address_oracle(tree, jumps):
             assert fresh.tolist() == list(dict.fromkeys(entered))
         # slot 0 of a vertex below the root is its parent
         up, none = table.move(fresh, np.zeros_like(fresh))
-        assert up.tolist() == [ids[parent(addrs[y])] for y in fresh.tolist()]
+        assert up.tolist() == [ids[addrs[y][:-1]] for y in fresh.tolist()]
         assert none.size == 0
 
 
@@ -713,8 +719,8 @@ def _walk(real, home, frog, p):
         u = real.walk_block(key, frog, block)
         if u[i] >= p:
             return
-        deg = degree(real.tree, pos)
-        pos = neighbors(real.tree, pos)[min(int(u[sim._BLOCK_PAIRS + i] * deg), deg - 1)]
+        nb = neighbors(real.tree, pos)
+        pos = nb[min(int(u[sim._BLOCK_PAIRS + i] * len(nb)), len(nb) - 1)]
         s += 1
         yield pos
 

@@ -1,25 +1,20 @@
 """Tests for biregular tree addressing.
 
-These helpers are the oracle the simulator's tree stores are checked
-against in test_sim.py, so their own rules are checked here on an
-explicitly built finite ball: parity, degrees, the parent/child inverse
-and the neighbor slot order.  The real-valued input rule, which lives in
-the same module, is checked at the ends of its four kinds of interval.
+neighbors is the oracle the simulator's tree stores are checked against
+in test_sim.py, so its own rules are checked here on an explicitly built
+finite ball: the degree of each level, the parent/child inverse and the
+neighbor slot order.  The real-valued input rule, which lives in the same
+module, is checked at the ends of its four kinds of interval.
 """
 
 import pytest
 
-from bifrog.tree import (
-    ROOT,
-    TreeParams,
-    _check_real,
-    children,
-    degree,
-    neighbors,
-    num_children,
-    parent,
-    parity,
-)
+from bifrog.tree import ROOT, TreeParams, _check_real, neighbors
+
+
+def _children(tree, v):
+    """The neighbors of v one level further from the root."""
+    return neighbors(tree, v)[1:] if v else neighbors(tree, v)
 
 
 def _ball(tree, radius):
@@ -29,7 +24,7 @@ def _ball(tree, radius):
     for _ in range(radius):
         nxt = []
         for v in frontier:
-            nxt.extend(children(tree, v))
+            nxt.extend(_children(tree, v))
         out.extend(nxt)
         frontier = nxt
     return out
@@ -68,46 +63,41 @@ def test_kappa_and_swap():
 
 def test_root_properties():
     t = TreeParams(2, 3)
-    assert parity(ROOT) == 1
-    assert degree(t, ROOT) == 3
-    assert num_children(t, ROOT) == 3
-    with pytest.raises(ValueError):
-        parent(ROOT)
+    # the root has no parent: all d1 + 1 of its neighbors are its children
+    assert neighbors(t, ROOT) == [(0,), (1,), (2,)]
 
 
 def test_parity_alternates_along_edges():
     t = TreeParams(2, 3)
     for v in _ball(t, 4):
-        for c in children(t, v):
-            assert parity(c) == 3 - parity(v)
+        for y in neighbors(t, v):
+            assert abs(len(y) - len(v)) == 1
+            # the degree alternates with the level parity along every edge
+            assert {len(neighbors(t, v)), len(neighbors(t, y))} == {3, 4}
 
 
 def test_degrees_by_parity():
     t = TreeParams(2, 5)
     for v in _ball(t, 4):
-        if v == ROOT:
-            continue
-        want = 3 if parity(v) == 1 else 6
-        assert degree(t, v) == want
-        assert num_children(t, v) == want - 1
+        want = 3 if len(v) % 2 == 0 else 6
+        assert len(neighbors(t, v)) == want
+        assert len(_children(t, v)) == (want if v == ROOT else want - 1)
 
 
 def test_children_and_parent_are_inverse():
     t = TreeParams(2, 3)
     for v in _ball(t, 4):
-        for c in children(t, v):
-            assert parent(c) == v
-            assert c[-1] < num_children(t, v)
+        kids = _children(t, v)
+        assert [c[:-1] for c in kids] == [v] * len(kids)
+        assert [c[-1] for c in kids] == list(range(len(kids)))
+        # a child's slot 0 leads back to v
+        assert all(neighbors(t, c)[0] == v for c in kids)
 
 
 def test_neighbors_parent_first_and_complete():
     t = TreeParams(2, 3)
     v = (1, 0)
-    nb = neighbors(t, v)
     # slot 0 is the parent and slot c + 1 child c below the root
-    assert nb[0] == parent(v)
-    assert nb[1:] == children(t, v)
-    assert len(nb) == degree(t, v)
-    # at the root slot c is child c
-    assert neighbors(t, ROOT) == children(t, ROOT)
-    assert len(neighbors(t, ROOT)) == degree(t, ROOT)
+    assert neighbors(t, v) == [(1,), (1, 0, 0), (1, 0, 1)]
+    # an even-level vertex has d1 children below its parent, an odd-level one d2
+    assert neighbors(t, (2,)) == [ROOT, (2, 0), (2, 1), (2, 2)]
