@@ -2,8 +2,8 @@
 death on biregular trees."""
 
 from .bounds import (BoundsReport, DiskSeries, NoRootError, TABLE_REFERENCE,
-                     TABLE_ROWS, bounds_report, disk_mean_offspring, f_n_value,
-                     f_value, lb_alves, lb_biregular, spectral_radius, table1,
+                     TABLE_ROWS, bounds_report, disk_mean_offspring, f_value,
+                     lb_alves, lb_biregular, spectral_radius, table1,
                      ub_closed, ub_root, ub_root_n)
 from .hitting import (HittingPair, McEstimate, edge_open_prob, hitting_pair,
                       mc_hit_neighbor, system_residuals)

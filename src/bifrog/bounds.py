@@ -114,16 +114,11 @@ def f_value(t: TreeParams, q: float, p: float) -> float:
     return _gap(t, _check_q(q), p, 0.0)
 
 
-def f_n_value(t: TreeParams, q: float, n: int, p: float) -> float:
-    """Finite-n refinement phi_n(p)^{1/n} - 1/(d1 d2), in its closed form."""
-    return _gap(t, _check_q(q), p, 1 / _check_int("n", n, 1, math.inf))
-
-
 def _bisect_increasing(f, what: str) -> float:
     lo, hi = _BRACKET
     flo, fhi = f(lo), f(hi)
     if not (flo < 0.0 < fhi):
-        raise NoRootError(f"{what} does not change sign on ({lo:g}, {hi:g}): "
+        raise NoRootError(f"{what} does not change sign on ({lo!r}, {hi!r}): "
                           f"endpoint values are {flo:.6g} and {fhi:.6g}")
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)

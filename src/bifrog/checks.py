@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, hitting, pathprob, sim
-from .laws import Bernoulli, Constant, Geometric, Poisson
+from .laws import Bernoulli, Constant, Geometric, Poisson, parse_law
 from .tree import TreeParams
 
-#: trials of each Monte Carlo row in criteria 8 and 9
+#: trials of each Monte Carlo row in criteria 8, 9 and 13
 MC_TRIALS = 100_000
 
 
@@ -203,17 +203,29 @@ def check_gw(seed: int) -> list:
                         f"extinct {extinct}/1000 at p={p:.4f}")]
 
 
-def check_disk() -> list:
+def check_disk(seed: int) -> list:
     """Criterion 13: the disk series sums to one at p = 1/(2D + 1) with one
     frog a vertex (D = 2), and its certified bound is below one for
-    Poisson(1) frogs at p = 0.1."""
+    Poisson(1) frogs at p = 0.1.  Its summand, the ball probability
+    cpgf(p^k), and edge_open_prob for the range inside that ball agree with
+    mc_range_vs_disk on T(2,3) at four (law, p, k, start type) cases,
+    MC_TRIALS trials per row; case idx uses seed + idx."""
     exact = bounds.disk_mean_offspring(Constant(1), 2, 0.2)
     cert = bounds.disk_mean_offspring(Poisson(1.0), 2, 0.1)
     bound = cert.value + cert.remainder
-    return [_max_row("disk series is one at the one-frog critical p",
-                     abs(exact.value - 1.0), 1e-9),
-            CheckResult("certified disk mean below one for Poisson(1) at p=0.1",
-                        bound < 1.0, f"value + remainder={bound:.4f}")]
+    out = [_max_row("disk series is one at the one-frog critical p",
+                    abs(exact.value - 1.0), 1e-9),
+           CheckResult("certified disk mean below one for Poisson(1) at p=0.1",
+                       bound < 1.0, f"value + remainder={bound:.4f}")]
+    cases = [("const:1", 0.6, 1, 1), ("const:1", 0.6, 2, 1), ("const:1", 0.6, 3, 2),
+             ("poisson:1.5", 0.8, 3, 2)]
+    for idx, (spec, p, k, ty) in enumerate(cases):
+        rep = sim.mc_range_vs_disk(TreeParams(2, 3), parse_law(spec), p, k, MC_TRIALS,
+                                   seed=seed + idx, start_type=ty)
+        case = f"t=(2,3) {spec} p={p} k={k} type={ty}"
+        out += [_mc_row(f"range {case}", rep.range_prob, rep.range_ref),
+                _mc_row(f"ball {case}", rep.ball_prob, rep.ball_ref)]
+    return out
 
 
 def check_asymptotics() -> list:
@@ -249,7 +261,7 @@ SUITES = {
     "asymptotics": check_asymptotics,
 }
 #: the suites that draw random numbers, each called with run_suite's seed
-SEEDED = frozenset({"hitting", "path-open-mc", "endpoints", "bracket", "gw"})
+SEEDED = frozenset({"hitting", "path-open-mc", "endpoints", "bracket", "gw", "disk"})
 
 
 def run_suite(name: str, seed: int = 0) -> list:

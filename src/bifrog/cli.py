@@ -51,7 +51,7 @@ def parse_p_grid(text: str) -> list:
         if count > MAX_GRID_POINTS:
             raise ValueError(f"bad p grid {text!r}; {count} points exceed "
                              f"{MAX_GRID_POINTS}")
-        return [round(x, 12) for x in (lo + np.arange(count) * step).tolist()]
+        return [min(round(x, 12), hi) for x in (lo + np.arange(count) * step).tolist()]
     vals = [float(x) for x in text.split(",") if x.strip()]
     if not vals:
         raise ValueError(f"bad p grid {text!r}; no values")

@@ -32,7 +32,7 @@ CRITERIA = {
     14: ("asymptotics", "asymptotics"),
 }
 #: seeds of the criteria whose suites draw random numbers
-SEEDS = {8: 100, 9: 200, 10: 50, 11: 60, 12: 70}
+SEEDS = {8: 100, 9: 200, 10: 50, 11: 60, 12: 70, 13: 80}
 #: wall-clock bounds in seconds
 WALL_S = {8: 10.0, 9: 60.0}
 

@@ -20,7 +20,6 @@ from bifrog.bounds import (
     NoRootError,
     bounds_report,
     disk_mean_offspring,
-    f_n_value,
     f_value,
     lb_alves,
     lb_biregular,
@@ -127,24 +126,24 @@ def test_f_monotone_on_grid():
 def test_f_at_zero_is_negative_constant():
     t = TreeParams(2, 3)
     assert abs(f_value(t, 1.0, 0.0) + 1.0 / 6.0) < 1e-15
-    assert abs(f_n_value(t, 1.0, 5, 0.0) + 1.0 / 6.0) < 1e-15
+    assert abs(bounds._gap(t, 1.0, 0.0, 1 / 5) + 1.0 / 6.0) < 1e-15
 
 
 def test_f_n_converges_to_f_from_below_in_the_limit():
     t = TreeParams(2, 3)
     p, q = 0.7, 1.0
-    gaps = [abs(f_n_value(t, q, n, p) - f_value(t, q, p)) for n in (5, 20, 80, 320)]
+    gaps = [abs(bounds._gap(t, q, p, 1 / n) - f_value(t, q, p)) for n in (5, 20, 80, 320)]
     assert all(x > y for x, y in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
     # past the float range 1/n rounds to 0.0, which is the limit itself
-    assert f_n_value(t, q, 10**400, p) == f_value(t, q, p)
+    assert bounds._gap(t, q, p, 1 / 10**400) == f_value(t, q, p)
 
 
 def test_f_n_survives_deep_underflow():
     # the raw n-step path probability underflows double precision long
     # before n = 200 on wide trees; the closed form never forms it
     t = TreeParams(4, 10000)
-    val = f_n_value(t, 1.0, 200, 0.9)
+    val = bounds._gap(t, 1.0, 0.9, 1 / 200)
     assert math.isfinite(val)
     assert val > 0.0
 
@@ -156,7 +155,7 @@ def test_f_n_survives_deep_underflow():
 def test_f_n_never_exceeds_f(d1, d2, q, n, p):
     # f_n is f times (q / (1 + q(1 - alpha)))^{1/n}, a factor at most 1
     t = TreeParams(d1, d2)
-    assert f_n_value(t, q, n, p) <= f_value(t, q, p)
+    assert bounds._gap(t, q, p, 1 / n) <= f_value(t, q, p)
 
 
 # --- root-based upper bound ------------------------------------------------
@@ -208,8 +207,9 @@ def test_ub_root_n_decreasing_in_n():
 
 def test_no_root_for_weak_activation():
     # with rare frogs and a short certificate the gap stays negative on
-    # all of (0, 1] and there is no root to find
-    with pytest.raises(NoRootError):
+    # all of (0, 1] and there is no root to find; the message names both
+    # ends of the bracket searched exactly
+    with pytest.raises(NoRootError, match=r"on \(1e-09, 0\.999999999\):"):
         ub_root_n(TreeParams(2, 2), q=0.2, n=1)
 
 

@@ -32,6 +32,14 @@ def test_parse_p_grid_colon_form():
     assert parse_p_grid("0.1:0.3:0.05")[-1] == 0.3
 
 
+def test_parse_p_grid_never_passes_hi(capsys):
+    # lo + 10 step is 1.000000000001 at twelve decimals: clamped to hi
+    assert parse_p_grid("0:1:0.1000000000001")[-1] == 1.0
+    code, _, err = _run(capsys, "sweep", "--d1", "2", "--d2", "2",
+                        "--p", "0:1:0.1000000000001", "--replicas", "2")
+    assert (code, err) == (0, "")
+
+
 def test_parse_p_grid_comma_form():
     assert parse_p_grid("0.9,0.5,0.7") == [0.9, 0.5, 0.7]
 
@@ -352,7 +360,7 @@ def test_check_all_runs_every_suite(capsys, stand_ins):
     assert [r["name"] for r in rows] == list(checks.SUITES)
     assert all(r["passed"] == "True" for r in rows)
     assert [r["name"] for r in rows if r["detail"] == "seed=3"] == [
-        "hitting", "path-open-mc", "endpoints", "bracket", "gw"]
+        "hitting", "path-open-mc", "endpoints", "bracket", "gw", "disk"]
 
 
 def test_check_trials_is_usage_error(capsys):

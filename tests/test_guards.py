@@ -24,7 +24,11 @@ coupled pass: no Monte Carlo oracle grows a walk loop of its own.
 The count of settable values is pinned, so a change that adds or removes
 one must update SETTABLE_VALUES and say why.  Every module of the package
 and of the tests reads each name it imports, bar the package's __init__.py,
-whose imports are its re-exports, and __future__ imports.
+whose imports are its re-exports, and __future__ imports.  Every public
+function, class and constant a module of the package defines is read by
+some module of the package other than __init__.py, bar the names in
+_UNREAD_PUBLIC, each with its reason: no public name serves the tests
+alone.
 """
 
 import ast
@@ -38,8 +42,8 @@ import numpy as np
 import pytest
 
 import bifrog
-from bifrog.bounds import (bounds_report, disk_mean_offspring, f_n_value, lb_alves,
-                           lb_biregular)
+from bifrog.bounds import (bounds_report, disk_mean_offspring, lb_alves, lb_biregular,
+                           ub_root_n)
 from bifrog.hitting import hitting_pair, mc_hit_neighbor
 from bifrog.laws import _POISSON_MU_MAX, Bernoulli, Constant, Poisson, parse_law
 from bifrog.pathprob import (PathOpenQuery, PathOpenTables, bernoulli_path_open,
@@ -259,6 +263,46 @@ def test_every_module_reads_its_imports():
     assert found == []
 
 
+def _public_definitions(tree):
+    """Public names a module defines at its top level, as a function, a
+    class or an assigned constant, in source order."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in found if not name.startswith("_")]
+
+
+def _reads(tree):
+    """Names a module reads, as a loaded Name or as an attribute."""
+    return {_name(n) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))}
+
+
+#: public names that no module of the package reads, with the reason each stays
+_UNREAD_PUBLIC = {
+    "tree.py:ROOT": "the root's tuple address, where the tests' tree oracle starts",
+    "tree.py:neighbors": "the tests' oracle for the simulator's three tree stores, "
+                         "which must share no code with them",
+}
+
+
+def test_every_public_name_has_a_reader_in_the_package():
+    probe = ast.parse("import os\nA = 1\nB: int = 2\n_c = 3\ndef f():\n    return A\n"
+                      "class K:\n    x = 1\n    def g(self):\n        return self.B, os\n")
+    assert _public_definitions(probe) == ["A", "B", "f", "K"]
+    assert [n for n in _public_definitions(probe) if n not in _reads(probe)] == ["f", "K"]
+    modules = [(name, tree) for name, tree in _package_sources() if name != "__init__.py"]
+    read = set().union(*(_reads(tree) for _, tree in modules))
+    found = [f"{name}:{defined}" for name, tree in modules
+             for defined in _public_definitions(tree) if defined not in read]
+    assert found == list(_UNREAD_PUBLIC)
+
+
 def _is_dataclass(node):
     return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
                for d in node.decorator_list)
@@ -306,7 +350,7 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: mc_hit_neighbor(T23, 0.5, start_type=1, trials=0),
     lambda: mc_path_open(PathOpenQuery(1, 2, 1), T23, LAW, 0.5, trials=0),
     lambda: gw_progeny_masses(T23, LAW, 0.5, parent_type=3),
-    lambda: f_n_value(T23, 1.0, 0, 0.5),
+    lambda: ub_root_n(T23, 1.0, 0),
     lambda: disk_mean_offspring(LAW, 0, 0.1),
     lambda: bernoulli_path_open(0, 0.5, 0.3, 0.3),
     lambda: bernoulli_path_open(1, 0.0, 0.3, 0.3),
@@ -373,7 +417,7 @@ def test_numpy_integers_are_taken_and_stored_as_int():
     law = Constant(np.int64(2))
     assert law == Constant(2) and type(law.k) is int and type(law.support_max) is int
     assert lb_alves(np.int64(3), 1.0) == lb_alves(3, 1.0)
-    assert f_n_value(T23, 1.0, np.int64(3), 0.5) == f_n_value(T23, 1.0, 3, 0.5)
+    assert ub_root_n(T23, 1.0, np.int64(3)) == ub_root_n(T23, 1.0, 3)
     json.dumps(asdict(bounds_report(TreeParams(np.int64(2), 2), Constant(1))))
 
 

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bifrog.sim as sim
+from bifrog import checks
 from bifrog.bounds import lb_biregular, ub_root
 from bifrog.hitting import edge_open_prob
 from bifrog.laws import Bernoulli, Constant, Geometric, Poisson
@@ -1123,13 +1124,19 @@ def test_gw_supercritical_often_survives(monkeypatch):
 # --- range versus lifetime ball ---------------------------------------------
 
 
-@pytest.mark.parametrize("k,start", [(1, 1), (2, 1), (3, 2)])
-def test_mc_range_vs_disk_matches_references(k, start):
-    rep = mc_range_vs_disk(T23, Constant(1), 0.6, k=k, trials=30_000,
-                           seed=19, start_type=start)
-    assert rep.range_prob <= rep.ball_prob + 1e-15
-    assert abs(rep.range_prob - rep.range_ref) < 4.0 * max(rep.range_se, 1e-6)
-    assert abs(rep.ball_prob - rep.ball_ref) < 4.0 * max(rep.ball_se, 1e-6)
+def test_disk_suite_catches_a_wrong_target_parity(monkeypatch):
+    # a kernel that reads the target's type off by one: the walks step
+    # toward it with the other type's degree, so range rows miss their
+    # references (three of the four cases), while the ball, read off the
+    # jump count alone, still agrees
+    kernel = sim._distance_chain
+
+    def shifted(rng, t, p, m, parity, radius):
+        return kernel(rng, t, p, m, parity + 1, radius)
+
+    monkeypatch.setattr(sim, "_distance_chain", shifted)
+    failed = [row.name for row in checks.run_suite("disk", seed=80) if not row.passed]
+    assert failed and all(name.startswith("range ") for name in failed)
 
 
 def test_mc_range_vs_disk_ball_reference_is_lifetime_tail():
