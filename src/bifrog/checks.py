@@ -173,8 +173,7 @@ def check_bracket(seed: int) -> list:
     every replica is monotone in p by construction; the small cap only
     makes the zero at 0.55 harder to meet.
     """
-    cfg = sim.SimConfig(tree=TreeParams(2, 2), law=Constant(1), p=0.55,
-                        horizon=10_000, awake_cap=500, seed=seed)
+    cfg = sim.SimConfig(tree=TreeParams(2, 2), law=Constant(1), p=0.55, awake_cap=500, seed=seed)
     low, high = sim.sweep(cfg, [0.55, 0.85], replicas=2_000, coupled=True)
     return [
         CheckResult("no replica survives at p=0.55", low.survived == 0,

@@ -12,11 +12,11 @@ vertex is first entered at its own level parity, so all awake frogs share
 the parity of the time step and one degree serves the whole step.  Vertex
 ids, frog positions and jump slots are int32: every vertex holds at
 least one int32 of its store, so TREE_BYTES keeps every id and every flat
-index into the neighbor table below 2**31.  A step makes few copies: the
-survival uniforms fill a view of one buffer per run, survivors are kept
-by compress, and the store gathers with take.  A step's frog arrays (the
-positions, that buffer and the step's temporaries) stay within
-FROG_ARRAY_BYTES.  Memory has one rule, in bytes: each store is charged
+index into the neighbor table below 2**31.  A step makes few copies: it
+draws one fresh float64 survival uniform a frog, freed once compress has
+kept the survivors, and the store gathers with take.  A step's frog
+arrays (the positions, the uniforms and the step's temporaries) stay
+within FROG_ARRAY_BYTES.  Memory has one rule, in bytes: each store is charged
 its size, or a measured size a vertex or frog, against TREE_BYTES or
 FROG_ARRAY_BYTES, and _check_bytes raises every SimResourceError it calls for.
 
@@ -67,18 +67,20 @@ DENSE_CHILD_LIMIT = 64
 #: _TREE_VERTEX_BYTES a vertex
 TREE_BYTES = 1 << 30
 #: largest frog arrays, in bytes, that a run_frog step holds at once: the
-#: awake frogs' positions, the buffer of their survival uniforms and the
-#: step's per-frog temporaries; also the coupled pass's bound on its walks
+#: awake frogs' positions, their survival uniforms and the step's other
+#: per-frog temporaries; also the coupled pass's bound on its walks
 FROG_ARRAY_BYTES = 1 << 30
 _MAX_WALK_STEPS = 10 ** 6
 #: dtype of run_frog's vertex ids, positions and flat neighbor-table indices
 _VID = np.dtype(np.int32)
 _EMPTY = np.empty(0, dtype=_VID)
-#: bytes per awake frog at a step's peak: the int32 position and slot, up
-#: to two float64 uniforms in the buffer, and move's temporaries, largest in
-#: the dict store, whose keys pass through Python ints (tracemalloc peaks
-#: inside move, the store's own growth left out: at most 33 bytes a mover
-#: for the dense table, 128 for the dict store)
+#: bytes per awake frog at a step's peak: the int32 position and slot and
+#: move's temporaries, largest in the dict store, whose keys pass through
+#: Python ints (tracemalloc peaks inside move, the store's own growth left
+#: out: at most 33 bytes a mover for the dense table, 128 for the dict
+#: store); the step's one float64 uniform a frog is freed before move.  A
+#: whole run peaks 25 bytes an awake frog above its tree store's charge on
+#: T(2,2) at p = 0.75, and 19 below it on T(3,100) at p = 0.9
 _FROG_ITEMSIZE = 160
 #: bytes per woken frog in the coupled pass: its walk tuple in the ready list
 #: or the heap, with its vertex's tree entries (tracemalloc peaks of 109-284
@@ -254,15 +256,9 @@ def run_frog(config: SimConfig) -> SimOutcome:
     eta_root = int(law.sample(rng, 1)[0])
     _check_bytes(eta_root, _FROG_ITEMSIZE, FROG_ARRAY_BYTES, "awake frogs")
     pos = np.zeros(eta_root, dtype=_VID)
-    uniforms = np.empty(eta_root)
     max_awake = eta_root
     for now in range(config.horizon):
-        if pos.size > uniforms.size:
-            uniforms = np.empty(min(2 * pos.size, FROG_ARRAY_BYTES // _FROG_ITEMSIZE))
-        # random(out=) reads the same stream as random(pos.size)
-        u = uniforms[:pos.size]
-        rng.random(out=u)
-        pos = pos.compress(u < p)
+        pos = pos.compress(rng.random(pos.size) < p)
         survivors = pos.size
         woken = 0
         if survivors:
@@ -297,9 +293,9 @@ _Z95 = 1.959963984540054
 
 
 def wilson_interval(successes: int, n: int) -> tuple:
-    """Wilson 95% score interval for successes out of n."""
-    if n <= 0:
-        return (0.0, 1.0)
+    """Wilson 95% score interval for successes out of n >= 1 trials."""
+    n = _check_int("n", n, 1, math.inf)
+    successes = _check_int("successes", successes, 0, n)
     z = _Z95
     phat = successes / n
     denom = 1.0 + z * z / n

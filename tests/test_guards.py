@@ -49,7 +49,7 @@ from bifrog.laws import _POISSON_MU_MAX, Bernoulli, Constant, Poisson, parse_law
 from bifrog.pathprob import (PathOpenQuery, PathOpenTables, bernoulli_path_open,
                              mc_path_open)
 from bifrog.sim import (SimConfig, coupled_thresholds, estimate_survival, gw_progeny_masses,
-                        mc_range_vs_disk)
+                        mc_range_vs_disk, wilson_interval)
 from bifrog.tree import TreeParams
 
 T23 = TreeParams(2, 3)
@@ -390,6 +390,10 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     lambda: Poisson(math.nextafter(_POISSON_MU_MAX, math.inf)),
     lambda: Constant(2 ** 63),
     lambda: parse_law("const:" + "9" * 401),
+    lambda: wilson_interval(5, 3),
+    lambda: wilson_interval(2.5, 4),
+    lambda: wilson_interval(True, 3),
+    lambda: wilson_interval(0, 0),
 ], ids=[
     "range-k0", "range-trials0", "range-type3", "hit-type0", "hit-trials0",
     "path-trials0", "gw-type3", "f_n-n0", "disk-big_d0",
@@ -404,6 +408,8 @@ def test_hitting_pair_raises_on_a_negative_discriminant():
     "tables-a-str", "tree-d1-float-array", "bernoulli-a-str", "bernoulli-b-above-1",
     "poisson-mu-past-float-range", "poisson-mu-complex",
     "poisson-mu-past-sampler", "constant-k-past-int64", "constant-spec-past-float-range",
+    "wilson-successes-above-n", "wilson-successes-float", "wilson-successes-bool",
+    "wilson-n0",
 ])
 def test_input_checks_raise_value_error(call):
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ key along the address, so it shares no tree code with the pass.
 """
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from collections import deque
@@ -318,6 +319,35 @@ def test_frog_byte_bound_raises_before_allocating(monkeypatch):
     assert out.censor_reason == "awake_cap" and out.max_awake <= 100
 
 
+@pytest.mark.parametrize("tree,p,cap", [(T22, 0.75, 100_000), (T3_100, 0.9, 20_000)])
+def test_run_frog_peak_stays_within_the_frog_charge(monkeypatch, tree, p, cap):
+    # the dense table is charged, while it grows, its old and its new table
+    # together: the largest pair that _extended holds, as the T(2,2) run
+    # grows past its first table
+    held = [0]
+    extend = sim._extended
+
+    def extended(a, size):
+        held.append(a.nbytes + size * a.itemsize)
+        return extend(a, size)
+
+    monkeypatch.setattr(sim, "_extended", extended)
+    cfg = SimConfig(tree=tree, law=Constant(1), p=p, awake_cap=cap, seed=1)
+    tracemalloc.start()
+    try:
+        out = run_frog(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.censor_reason == "awake_cap"
+    charge = (max(held) if sim._TreeTable(tree).dense
+              else out.vertices_activated * sim._DICT_VERTEX_BYTES)
+    # the peak less the charge reads 25 bytes an awake frog on T(2,2) and
+    # -19 on T(3,100), whose dict store is charged more than it holds; the
+    # slack covers the run's Python objects, 2-6 KiB for a run of one frog
+    assert peak - charge <= out.max_awake * sim._FROG_ITEMSIZE + 65_536
+
+
 #: (d1, d2), law, p, seed -> SimOutcome fields of replicas 0..3 at horizon
 #: 400 and awake_cap 3,000, recorded before the dense store became a flat
 #: neighbor table (the const:2 cases before run_frog's step dropped its mask
@@ -476,9 +506,9 @@ def test_run_frog_outcomes_at_default_caps_are_pinned():
 
 
 def _run_frog_reference(config):
-    """run_frog's step loop as it was before its copies were cut: a fresh
-    uniform array per step and boolean-mask subscripts; the oracle that
-    run_frog must match field for field."""
+    """run_frog's step loop as it was before its copies were cut: it draws a
+    fresh uniform array per step, as run_frog does, but subscripts with
+    boolean masks; the oracle that run_frog must match field for field."""
     p, law, tree = config.p, config.law, config.tree
     rng = sim._stream(config.seed, config.replica_index)
     table = sim._TreeTable(tree)
@@ -605,7 +635,8 @@ def test_wilson_interval_reference_values():
     lo, hi = wilson_interval(50, 100)
     assert abs(lo - 0.40383) < 1e-4
     assert abs(hi - 0.59617) < 1e-4
-    assert wilson_interval(0, 0) == (0.0, 1.0)
+    with pytest.raises(ValueError):
+        wilson_interval(0, 0)
     lo0, hi0 = wilson_interval(0, 50)
     assert lo0 < 1e-12 and hi0 > 0.01
     lo1, hi1 = wilson_interval(50, 50)
@@ -943,6 +974,20 @@ def test_jump_slots_need_no_clamp():
     assert top == 1.0 - 2.0 ** -53
     degs = np.append(np.arange(1, 2 ** 20 + 1, dtype=np.float64), 10_001.0)
     assert np.all(top * degs < degs)
+
+
+def test_sweep_uncoupled_realization_is_pinned():
+    # the realization of the sweep-uncoupled benchmark workload: T(2,2),
+    # const:1, seed 1, default horizon and awake_cap, replicas 0..11 on its
+    # grid; a digest of the 60 SimOutcomes, recorded before run_frog dropped
+    # its per-run uniform buffer
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.5, seed=1)
+    grid = (0.55, 0.65, 0.75, 0.85, 0.95)
+    outs = [[dataclasses.astuple(run_frog(dataclasses.replace(cfg, p=p, replica_index=r)))
+             for r in range(12)] for p in grid]
+    assert [sum(o[0] for o in row) for row in outs] == [0, 0, 6, 8, 11]
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == (
+        "e51a1e024ebab1cf6137ac934c70d1460bcaefbace66add3d9afb62087973ef1")
 
 
 def test_sweep_coupled_realization_is_pinned():
