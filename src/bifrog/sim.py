@@ -19,6 +19,10 @@ arrays (the positions, the uniforms and the step's temporaries) stay
 within FROG_ARRAY_BYTES.  Memory has one rule, in bytes: each store is charged
 its size, or a measured size a vertex or frog, against TREE_BYTES or
 FROG_ARRAY_BYTES, and _check_bytes raises every SimResourceError it calls for.
+Between runs the process holds one zeroed spare of the dense neighbor
+table, of at most _SPARE_TABLE_BYTES, which a run takes in place of 1,024
+fresh rows and hands back, so a sweep's runs do not regrow their tables;
+it changes no id, move or random number (see _TreeTable for its charge).
 
 The coupled sweep is time-free: a replica survives at p when its
 activation cluster (the root, and every vertex a walk from an awake
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,8 +69,18 @@ DENSE_CHILD_LIMIT = 64
 #: largest tree store, in bytes, that a run holds at once: run_frog's dense
 #: neighbor table (while it grows, the old and the new table together), its
 #: dict store at _DICT_VERTEX_BYTES a vertex, or the coupled pass's tree at
-#: _TREE_VERTEX_BYTES a vertex
+#: _TREE_VERTEX_BYTES a vertex.  Between runs the one spare neighbor table,
+#: of at most _SPARE_TABLE_BYTES, is held outside it; a run takes the spare
+#: only when it is at most a third of it
 TREE_BYTES = 1 << 30
+#: largest neighbor table run_frog keeps as the spare: about ten times the
+#: 6.3 MB table of a T(2,2) run at the default awake_cap
+_SPARE_TABLE_BYTES = 1 << 26
+#: the spare: at most one zeroed dense neighbor table, taken by
+#: _TreeTable.__init__ and handed back by _TreeTable.release, both under
+#: _SPARE_LOCK, since run_frog may run in several threads at once
+_SPARE = []
+_SPARE_LOCK = threading.Lock()
 #: largest frog arrays, in bytes, that a run_frog step holds at once: the
 #: awake frogs' positions, their survival uniforms and the step's other
 #: per-frog temporaries; also the coupled pass's bound on its walks
@@ -80,7 +95,8 @@ _EMPTY = np.empty(0, dtype=_VID)
 #: out: at most 33 bytes a mover for the dense table, 128 for the dict
 #: store); the step's one float64 uniform a frog is freed before move.  A
 #: whole run peaks 25 bytes an awake frog above its tree store's charge on
-#: T(2,2) at p = 0.75, and 19 below it on T(3,100) at p = 0.9
+#: T(2,2) at p = 0.75 (28 when it takes a spare it does not grow, charged
+#: at the spare's size), and 19 below it on T(3,100) at p = 0.9
 _FROG_ITEMSIZE = 160
 #: bytes per woken frog in the coupled pass: its walk tuple in the ready list
 #: or the heap, with its vertex's tree entries (tracemalloc peaks of 109-284
@@ -129,14 +145,19 @@ class _TreeTable:
     child is unvisited (so the table grows by zero pages), and a move is
     one gather; the parent slot is written when the vertex is created.
     The table and its keys are int32 too: the table never outgrows
-    TREE_BYTES (while it grows, the old and the new table count
-    together), so a key is below TREE_BYTES / 4 entries,
-    which the constructor checks is at most 2**31.  Wider trees keep a
-    flat parent array and a dict from the key of each child edge, an int64
-    key since it passes 2**31 on wide trees; move charges that store
-    _DICT_VERTEX_BYTES a vertex against TREE_BYTES before its dict holds
-    the vertex, so its ids stay below TREE_BYTES / 4 as well.  No level
-    parity is stored: run_frog's frogs all sit at the parity of the step.
+    TREE_BYTES (while it grows, the old and the new table count together),
+    so a key is below TREE_BYTES / 4 entries, which the constructor checks
+    is at most 2**31.  A dense table may start from the spare, which
+    release hands back; growth and its charge follow cap, the rows a table
+    grown from 1,024 rows would hold, so a run raises where it would from
+    a fresh table, unless one step creates more vertices than the spare
+    holds rows: the spare, alive beside its copy, is then charged too.
+    Wider trees keep a flat parent array and a dict from the key of each
+    child edge, an int64 key since it passes 2**31 on wide trees; move
+    charges that store _DICT_VERTEX_BYTES a vertex against TREE_BYTES
+    before its dict holds the vertex, so its ids stay below TREE_BYTES / 4
+    as well.  No level parity is stored: run_frog's frogs all sit at the
+    parity of the step.
     """
 
     def __init__(self, t: TreeParams):
@@ -147,32 +168,62 @@ class _TreeTable:
                 f"a {TREE_BYTES}-byte tree store would index past the {_VID} range")
         cap = 1024
         if self.dense:
-            self.nbr = np.zeros(cap * self.stride, dtype=_VID)
+            self.cap = cap
+            # a spare of whole rows, at least cap of them, and at most a
+            # third of TREE_BYTES, which leaves room for its copy when one
+            # step creates at most as many vertices as it holds rows
+            with _SPARE_LOCK:
+                spare = _SPARE[-1] if _SPARE else _EMPTY
+                fits = (spare.size >= cap * self.stride and spare.size % self.stride == 0
+                        and 3 * spare.nbytes <= TREE_BYTES)
+                if fits:
+                    _SPARE.pop()
+            self.nbr = spare if fits else np.zeros(cap * self.stride, dtype=_VID)
         else:
             self.parent = np.full(cap, -1, dtype=_VID)
             self.child = {}
         self.n = 1
 
     def _grow(self, need: int) -> None:
-        cap = self.nbr.size // self.stride if self.dense else self.parent.size
-        if need > cap and not self.dense:
-            self.parent = _extended(self.parent, max(need, 2 * cap))
-        elif need > cap:
-            # the old table's cap rows stay alive while _extended copies them
+        if not self.dense:
+            if need > self.parent.size:
+                self.parent = _extended(self.parent, max(need, 2 * self.parent.size))
+            return
+        cap = self.cap
+        if need > cap:
+            # a table grown from 1,024 rows keeps its cap rows alive while
+            # _extended copies them
             row = self.stride * self.nbr.itemsize
-            _check_bytes(cap + need, row, TREE_BYTES, "neighbor-table rows, old and new,")
-            fit = TREE_BYTES // row - cap
-            self.nbr = _extended(self.nbr, min(max(need, 2 * cap), fit) * self.stride)
+            what = "neighbor-table rows, old and new,"
+            _check_bytes(cap + need, row, TREE_BYTES, what)
+            self.cap = min(max(need, 2 * cap), TREE_BYTES // row - cap)
+            held = self.nbr.size // self.stride
+            if self.cap > held:
+                # a spare may hold more than cap rows, all alive while copied
+                _check_bytes(held + self.cap, row, TREE_BYTES, what)
+                self.nbr = _extended(self.nbr, self.cap * self.stride)
+
+    def release(self) -> None:
+        """End the run's use of the store: a dense table is kept as the
+        spare, its written rows zeroed, if no spare is held and it is at
+        most _SPARE_TABLE_BYTES."""
+        if self.dense and self.nbr.nbytes <= _SPARE_TABLE_BYTES:
+            with _SPARE_LOCK:
+                if not _SPARE:
+                    # every write keys a vertex below n
+                    self.nbr[:self.n * self.stride] = 0
+                    _SPARE.append(self.nbr)
 
     def _add(self, pv: np.ndarray) -> np.ndarray:
         """Ids of new children of the vertices pv, one each, in order."""
         lo, hi = self.n, self.n + pv.size
         self._grow(hi)
+        # n bounds every write, even one that raises
+        self.n = hi
         if self.dense:
             self.nbr[lo * self.stride:hi * self.stride:self.stride] = pv + 1
         else:
             self.parent[lo:hi] = pv
-        self.n = hi
         return np.arange(lo, hi, dtype=_VID)
 
     def move(self, movers: np.ndarray, slot: np.ndarray):
@@ -250,9 +301,16 @@ class SimOutcome:
 
 
 def run_frog(config: SimConfig) -> SimOutcome:
+    table = _TreeTable(config.tree)
+    try:
+        return _run_steps(config, table)
+    finally:
+        table.release()
+
+
+def _run_steps(config: SimConfig, table: _TreeTable) -> SimOutcome:
     p, law, tree = config.p, config.law, config.tree
     rng = _stream(config.seed, config.replica_index)
-    table = _TreeTable(tree)
     eta_root = int(law.sample(rng, 1)[0])
     _check_bytes(eta_root, _FROG_ITEMSIZE, FROG_ARRAY_BYTES, "awake frogs")
     pos = np.zeros(eta_root, dtype=_VID)

@@ -28,7 +28,12 @@ whose imports are its re-exports, and __future__ imports.  Every public
 function, class and constant a module of the package defines is read by
 some module of the package other than __init__.py, bar the names in
 _UNREAD_PUBLIC, each with its reason: no public name serves the tests
-alone.
+alone.  No function of the package mutates module-level state, by a
+mutating method call, an item or attribute store or deletion on a name
+bound at module level, or a global statement, so tables such as
+checks.SUITES, laws._LAWS and bounds.TABLE_REFERENCE stay read-only; the
+one exception is the pool of sim's spare neighbor table, which
+_TreeTable takes from and hands back to.
 """
 
 import ast
@@ -301,6 +306,95 @@ def test_every_public_name_has_a_reader_in_the_package():
     found = [f"{name}:{defined}" for name, tree in modules
              for defined in _public_definitions(tree) if defined not in read]
     assert found == list(_UNREAD_PUBLIC)
+
+
+#: method names that change the object they are called on
+_MUTATORS = frozenset({"append", "extend", "insert", "pop", "remove", "clear", "update",
+                       "setdefault", "popitem", "add", "discard", "sort", "reverse",
+                       "fill", "resize", "put", "__setitem__", "__delitem__"})
+
+
+def _root(node):
+    """The Name at the root of an attribute or subscript chain, else None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_names(tree):
+    """(names a module binds at top level by assignment, names it binds
+    there by any means: assignment, definition or import)."""
+    data, bound = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            data |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return data, bound | data
+
+
+def _mutates_module_state(node, data, bound, where=()):
+    """Dotted names of the functions that mutate module-level state, one
+    entry per site: a global statement, an attribute or item store or
+    deletion on a name in bound, or a mutating method call on a name in
+    data or on an attribute or item of a name in bound (np.sort(a) is no
+    method of np).  A name a function binds itself, as a parameter or by
+    a store, is its own."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = child.args
+            own = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                   if x is not None}
+            own |= {n.id for n in ast.walk(child)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            found += _mutates_module_state(child, data - own, bound - own, (*where, child.name))
+            continue
+        if isinstance(child, ast.ClassDef):
+            found += _mutates_module_state(child, data, bound, (*where, child.name))
+            continue
+        targets = []
+        if isinstance(child, (ast.Assign, ast.Delete)):
+            targets = child.targets
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+            targets = [child.target]
+        stores = [n for t in targets for n in ast.walk(t)
+                  if isinstance(n, (ast.Attribute, ast.Subscript))
+                  and not isinstance(n.ctx, ast.Load)]
+        hit = isinstance(child, ast.Global) or any(_root(n) in bound for n in stores)
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _MUTATORS):
+            obj = child.func.value
+            hit |= obj.id in data if isinstance(obj, ast.Name) else _root(obj) in bound
+        if where and hit:
+            found.append(".".join(where))
+        found += _mutates_module_state(child, data, bound, where)
+    return found
+
+
+#: the one exception: sim's pool of one spare neighbor table, which a
+#: dense _TreeTable takes from and run_frog hands the run's table back to,
+#: so that a sweep's runs reuse one zeroed table
+_SPARE_POOL_SITES = ["sim.py:_TreeTable.__init__", "sim.py:_TreeTable.release"]
+
+
+def test_no_function_mutates_module_state_but_the_spare_pool():
+    probe = ast.parse("import numpy as np\nfrom . import checks\nPOOL = []\nT = {}\n"
+                      "def f(x):\n    POOL.append(x)\n    T[x] = 1\n    del T[x]\n"
+                      "    checks.SUITES['x'] = x\n    checks.SUITES.update(x)\n"
+                      "    return np.sort(x), T.get(x), POOL[-1]\n"
+                      "class A:\n    def g(self, T):\n        T[1] = self.n = 2\n"
+                      "        POOL = []\n        POOL.append(T)\n"
+                      "    def h(self):\n        global POOL\n        POOL = None\n"
+                      "        self.x = [n.pop() for n in T]\n"
+                      "        np.random.seed = 0\n        T[0] += 1\n")
+    assert _mutates_module_state(probe, *_module_names(probe)) == ["f"] * 5 + ["A.h"] * 3
+    found = [f"{name}:{where}" for name, tree in _package_sources()
+             for where in _mutates_module_state(tree, *_module_names(tree))]
+    assert found == _SPARE_POOL_SITES
 
 
 def _is_dataclass(node):

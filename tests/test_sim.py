@@ -14,6 +14,8 @@ key along the address, so it shares no tree code with the pass.
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 from collections import deque
 
@@ -159,6 +161,8 @@ def test_wide_tree_uses_sparse_children():
 
 
 def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
+    # an empty pool: the table starts from 1,024 fresh rows
+    monkeypatch.setattr(sim, "_SPARE", [])
     size = sim._TreeTable(T22).nbr.itemsize
     bound = 3_000 * 3 * size  # 3,000 vertices of T(2,2)
     monkeypatch.setattr(sim, "TREE_BYTES", bound)
@@ -183,6 +187,7 @@ def test_dense_table_byte_bound_raises_resource_error(monkeypatch):
 def test_dense_store_stays_within_the_byte_bound(monkeypatch):
     bound = 1 << 16
     monkeypatch.setattr(sim, "TREE_BYTES", bound)
+    monkeypatch.setattr(sim, "_SPARE", [])
     table = sim._TreeTable(T22)
     row = table.stride * table.nbr.itemsize
     # one growth from the first 1,024 rows takes what the bound leaves
@@ -202,6 +207,7 @@ def test_dense_store_growth_peak_stays_within_the_byte_bound(monkeypatch):
     # cover both: tracemalloc sees numpy's data allocations
     bound = 1 << 20
     monkeypatch.setattr(sim, "TREE_BYTES", bound)
+    monkeypatch.setattr(sim, "_SPARE", [])
     tracemalloc.start()
     try:
         table = sim._TreeTable(T22)
@@ -267,6 +273,7 @@ def test_coupled_tree_peak_stays_within_the_byte_bound(monkeypatch):
 
 
 def test_int32_index_range_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(sim, "_SPARE", [])
     size = sim._TreeTable(T22).nbr.itemsize
     assert size == 4
     # 2**31 entries is the largest table whose flat indices fit in int32
@@ -319,11 +326,13 @@ def test_frog_byte_bound_raises_before_allocating(monkeypatch):
     assert out.censor_reason == "awake_cap" and out.max_awake <= 100
 
 
-@pytest.mark.parametrize("tree,p,cap", [(T22, 0.75, 100_000), (T3_100, 0.9, 20_000)])
-def test_run_frog_peak_stays_within_the_frog_charge(monkeypatch, tree, p, cap):
+def _peak_over_charge(monkeypatch, cfg, spare):
+    """run_frog(cfg)'s outcome and its tracemalloc peak less its tree
+    store's charge; with spare, a first run of cfg leaves its table,
+    traced, as the spare that the measured run takes."""
     # the dense table is charged, while it grows, its old and its new table
     # together: the largest pair that _extended holds, as the T(2,2) run
-    # grows past its first table
+    # grows past its first table, or else the spare it took
     held = [0]
     extend = sim._extended
 
@@ -332,20 +341,140 @@ def test_run_frog_peak_stays_within_the_frog_charge(monkeypatch, tree, p, cap):
         return extend(a, size)
 
     monkeypatch.setattr(sim, "_extended", extended)
-    cfg = SimConfig(tree=tree, law=Constant(1), p=p, awake_cap=cap, seed=1)
+    monkeypatch.setattr(sim, "_SPARE", [])
     tracemalloc.start()
     try:
+        if spare:
+            run_frog(cfg)
+            held[:] = [sim._SPARE[0].nbytes]
+            tracemalloc.reset_peak()
         out = run_frog(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.censor_reason == "awake_cap"
-    charge = (max(held) if sim._TreeTable(tree).dense
+    charge = (max(held) if sim._TreeTable(cfg.tree).dense
               else out.vertices_activated * sim._DICT_VERTEX_BYTES)
+    return out, peak - charge
+
+
+@pytest.mark.parametrize("tree,p,cap", [(T22, 0.75, 100_000), (T3_100, 0.9, 20_000)])
+def test_run_frog_peak_stays_within_the_frog_charge(monkeypatch, tree, p, cap):
+    cfg = SimConfig(tree=tree, law=Constant(1), p=p, awake_cap=cap, seed=1)
+    out, excess = _peak_over_charge(monkeypatch, cfg, spare=False)
+    assert out.censor_reason == "awake_cap"
     # the peak less the charge reads 25 bytes an awake frog on T(2,2) and
     # -19 on T(3,100), whose dict store is charged more than it holds; the
     # slack covers the run's Python objects, 2-6 KiB for a run of one frog
-    assert peak - charge <= out.max_awake * sim._FROG_ITEMSIZE + 65_536
+    assert excess <= out.max_awake * sim._FROG_ITEMSIZE + 65_536
+
+
+def test_run_frog_peak_with_a_spare_stays_within_the_frog_charge(monkeypatch):
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.75, seed=1)
+    out, excess = _peak_over_charge(monkeypatch, cfg, spare=True)
+    assert out.censor_reason == "awake_cap"
+    # 28 bytes an awake frog: the run fits in the spare, charged at its size
+    assert excess <= out.max_awake * sim._FROG_ITEMSIZE + 65_536
+
+
+def test_a_run_that_raises_hands_back_a_zeroed_spare(monkeypatch):
+    monkeypatch.setattr(sim, "_SPARE", [])
+    frog_bytes = sim.FROG_ARRAY_BYTES
+    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", 100 * sim._FROG_ITEMSIZE)
+    # the frog bound is checked only on a step that has created vertices,
+    # so the run raises mid-step with rows of its table written
+    with pytest.raises(SimResourceError, match="awake frogs"):
+        run_frog(SimConfig(tree=T22, law=Constant(1), p=1.0, awake_cap=10**6))
+    [spare] = sim._SPARE
+    assert spare.size == 1_024 * T22.stride and not spare.any()
+    monkeypatch.setattr(sim, "FROG_ARRAY_BYTES", frog_bytes)
+    # the next run takes the spare and grows it past 1,024 rows
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.9, horizon=400, awake_cap=3_000, seed=1)
+    with_spare = run_frog(cfg)
+    assert with_spare.vertices_activated > 1_024 and sim._SPARE[0] is not spare
+    monkeypatch.setattr(sim, "_SPARE", [])
+    assert run_frog(cfg) == with_spare
+
+
+def test_a_table_past_the_spare_bound_is_not_kept(monkeypatch):
+    row = T22.stride * sim._VID.itemsize
+    cfg = SimConfig(tree=T22, law=Constant(1), p=0.9, horizon=400, awake_cap=3_000, seed=1)
+    monkeypatch.setattr(sim, "_SPARE_TABLE_BYTES", 1_024 * row)
+    monkeypatch.setattr(sim, "_SPARE", [])
+    # a run of a few vertices keeps its first table, of exactly the bound
+    assert run_frog(dataclasses.replace(cfg, p=0.0)).vertices_activated == 1
+    assert [a.nbytes for a in sim._SPARE] == [1_024 * row]
+    # a run that grows its table past the bound leaves the pool empty
+    monkeypatch.setattr(sim, "_SPARE", [])
+    assert run_frog(cfg).vertices_activated > 1_024
+    assert sim._SPARE == []
+
+
+@pytest.mark.parametrize("rows,stride,taken", [
+    (1_820, 3, True),    # 21,840 bytes, within a third of the bound
+    (1_821, 3, False),   # 21,852 bytes, past it
+    (6_000, 3, False),   # 72,000 bytes, past the bound itself
+    (1_023, 3, False),   # fewer rows than a fresh table
+    (1_024, 4, False),   # a table of T(2,3): 4,096 ids, not whole rows of T(2,2)
+])
+def test_a_spare_is_taken_only_within_a_third_of_the_tree_bound(monkeypatch, rows, stride,
+                                                               taken):
+    bound = 1 << 16
+    monkeypatch.setattr(sim, "TREE_BYTES", bound)
+    spare = np.zeros(rows * stride, dtype=sim._VID)
+    monkeypatch.setattr(sim, "_SPARE", [spare])
+    table = sim._TreeTable(T22)
+    assert (table.nbr is spare) == taken
+    assert sim._SPARE == ([] if taken else [spare])
+    # whichever array the table holds, it grows and raises as a fresh one
+    # does, and every array it holds counts against the bound
+    for hi in range(1_001, bound, 1_000):
+        try:
+            table._add(np.zeros(hi - table.n, dtype=sim._VID))
+        except SimResourceError as exc:
+            assert str(exc).startswith("7414 neighbor-table rows")
+            break
+        assert table.nbr.nbytes <= bound
+    assert table.n == 3_001 and table.cap == 3_413
+
+
+def test_threads_that_share_the_spare_keep_their_outcomes(monkeypatch):
+    monkeypatch.setattr(sim, "_SPARE", [])
+    # many short runs, so that threads often take and hand back at once
+    cfgs = [SimConfig(tree=T22, law=Constant(1), p=p, horizon=400, awake_cap=3_000,
+                      seed=1, replica_index=r) for p in (0.6, 0.9) for r in range(50)]
+    want = [run_frog(c) for c in cfgs]
+    got = {}
+
+    def work(k):
+        got[k] = [run_frog(c) for c in cfgs[k:] + cfgs[:k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got[k] == want[k:] + want[:k] for k in range(6))
+    assert len(sim._SPARE) == 1 and not sim._SPARE[0].any()
+
+
+def test_the_spare_moves_no_raise(monkeypatch):
+    # the spare's 1,500 rows lie off the doubling from 1,024 rows, which
+    # reaches 16,384 rows, where the next growth would pass the bound
+    monkeypatch.setattr(sim, "TREE_BYTES", 30_000 * T22.stride * sim._VID.itemsize)
+    cfg = SimConfig(tree=T22, law=Constant(1), p=1.0, awake_cap=10**6)
+    raised = []
+    for pool in ([], [np.zeros(1_500 * T22.stride, dtype=sim._VID)]):
+        monkeypatch.setattr(sim, "_SPARE", pool)
+        with pytest.raises(SimResourceError, match="neighbor-table rows") as exc:
+            run_frog(cfg)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1] and raised[0].startswith("35445 neighbor-table rows")
 
 
 #: (d1, d2), law, p, seed -> SimOutcome fields of replicas 0..3 at horizon
