@@ -20,9 +20,10 @@ within FROG_ARRAY_BYTES.  Memory has one rule, in bytes: each store is charged
 its size, or a measured size a vertex or frog, against TREE_BYTES or
 FROG_ARRAY_BYTES, and _check_bytes raises every SimResourceError it calls for.
 Between runs the process holds one zeroed spare of the dense neighbor
-table, of at most _SPARE_TABLE_BYTES, which a run takes in place of 1,024
-fresh rows and hands back, so a sweep's runs do not regrow their tables;
-it changes no id, move or random number (see _TreeTable for its charge).
+table, of at most _SPARE_TABLE_BYTES, which a run takes, whatever its
+shape, when it is at most a third of TREE_BYTES, and hands back, so a
+sweep's runs do not regrow their tables.  A table's first 1,024 rows are
+charged like any growth; the spare changes no id, move or random number.
 
 The coupled sweep is time-free: a replica survives at p when its
 activation cluster (the root, and every vertex a walk from an awake
@@ -69,9 +70,10 @@ DENSE_CHILD_LIMIT = 64
 #: largest tree store, in bytes, that a run holds at once: run_frog's dense
 #: neighbor table (while it grows, the old and the new table together), its
 #: dict store at _DICT_VERTEX_BYTES a vertex, or the coupled pass's tree at
-#: _TREE_VERTEX_BYTES a vertex.  Between runs the one spare neighbor table,
-#: of at most _SPARE_TABLE_BYTES, is held outside it; a run takes the spare
-#: only when it is at most a third of it
+#: _TREE_VERTEX_BYTES a vertex; a dense table's first 1,024 rows are
+#: charged as any growth is.  Between runs the one spare neighbor table, of
+#: at most _SPARE_TABLE_BYTES, is held outside it; a run takes the spare,
+#: whatever its shape, only when it is at most a third of it
 TREE_BYTES = 1 << 30
 #: largest neighbor table run_frog keeps as the spare: about ten times the
 #: 6.3 MB table of a T(2,2) run at the default awake_cap
@@ -147,11 +149,14 @@ class _TreeTable:
     The table and its keys are int32 too: the table never outgrows
     TREE_BYTES (while it grows, the old and the new table count together),
     so a key is below TREE_BYTES / 4 entries, which the constructor checks
-    is at most 2**31.  A dense table may start from the spare, which
-    release hands back; growth and its charge follow cap, the rows a table
-    grown from 1,024 rows would hold, so a run raises where it would from
-    a fresh table, unless one step creates more vertices than the spare
-    holds rows: the spare, alive beside its copy, is then charged too.
+    is at most 2**31.  The constructor grows a dense table to 1,024 rows
+    through _grow, charged like every growth, from the spare that release
+    hands back, whatever its shape, when it is at most a third of
+    TREE_BYTES, or else from no rows.  Growth and its charge follow cap,
+    the rows a table grown from 1,024 rows would hold, so a run raises
+    where it would from a fresh table, unless one step creates more
+    vertices than the spare holds rows: the spare, alive beside its copy,
+    is then charged too.
     Wider trees keep a flat parent array and a dict from the key of each
     child edge, an int64 key since it passes 2**31 on wide trees; move
     charges that store _DICT_VERTEX_BYTES a vertex against TREE_BYTES
@@ -166,29 +171,21 @@ class _TreeTable:
         if TREE_BYTES // _VID.itemsize > np.iinfo(_VID).max + 1:
             raise SimResourceError(
                 f"a {TREE_BYTES}-byte tree store would index past the {_VID} range")
-        cap = 1024
         if self.dense:
-            self.cap = cap
-            # a spare of whole rows, at least cap of them, and at most a
-            # third of TREE_BYTES, which leaves room for its copy when one
-            # step creates at most as many vertices as it holds rows
+            # a spare of at most a third of TREE_BYTES leaves room for its
+            # copy when one step creates at most as many vertices as it
+            # holds rows
             with _SPARE_LOCK:
-                spare = _SPARE[-1] if _SPARE else _EMPTY
-                fits = (spare.size >= cap * self.stride and spare.size % self.stride == 0
-                        and 3 * spare.nbytes <= TREE_BYTES)
-                if fits:
-                    _SPARE.pop()
-            self.nbr = spare if fits else np.zeros(cap * self.stride, dtype=_VID)
+                take = _SPARE and 3 * _SPARE[-1].nbytes <= TREE_BYTES
+                self.nbr = _SPARE.pop() if take else _EMPTY
+            self.cap = 0
+            self._grow(1024)
         else:
-            self.parent = np.full(cap, -1, dtype=_VID)
+            self.parent = np.full(1024, -1, dtype=_VID)
             self.child = {}
         self.n = 1
 
     def _grow(self, need: int) -> None:
-        if not self.dense:
-            if need > self.parent.size:
-                self.parent = _extended(self.parent, max(need, 2 * self.parent.size))
-            return
         cap = self.cap
         if need > cap:
             # a table grown from 1,024 rows keeps its cap rows alive while
@@ -199,7 +196,7 @@ class _TreeTable:
             self.cap = min(max(need, 2 * cap), TREE_BYTES // row - cap)
             held = self.nbr.size // self.stride
             if self.cap > held:
-                # a spare may hold more than cap rows, all alive while copied
+                # a spare's whole rows, more or fewer than cap, alive while copied
                 _check_bytes(held + self.cap, row, TREE_BYTES, what)
                 self.nbr = _extended(self.nbr, self.cap * self.stride)
 
@@ -217,7 +214,10 @@ class _TreeTable:
     def _add(self, pv: np.ndarray) -> np.ndarray:
         """Ids of new children of the vertices pv, one each, in order."""
         lo, hi = self.n, self.n + pv.size
-        self._grow(hi)
+        if self.dense:
+            self._grow(hi)
+        elif hi > self.parent.size:
+            self.parent = _extended(self.parent, max(hi, 2 * self.parent.size))
         # n bounds every write, even one that raises
         self.n = hi
         if self.dense:
@@ -301,50 +301,46 @@ class SimOutcome:
 
 
 def run_frog(config: SimConfig) -> SimOutcome:
-    table = _TreeTable(config.tree)
-    try:
-        return _run_steps(config, table)
-    finally:
-        table.release()
-
-
-def _run_steps(config: SimConfig, table: _TreeTable) -> SimOutcome:
     p, law, tree = config.p, config.law, config.tree
     rng = _stream(config.seed, config.replica_index)
     eta_root = int(law.sample(rng, 1)[0])
     _check_bytes(eta_root, _FROG_ITEMSIZE, FROG_ARRAY_BYTES, "awake frogs")
     pos = np.zeros(eta_root, dtype=_VID)
     max_awake = eta_root
-    for now in range(config.horizon):
-        pos = pos.compress(rng.random(pos.size) < p)
-        survivors = pos.size
-        woken = 0
-        if survivors:
-            # every awake frog sits at the level parity of the step
-            deg = tree.d2 + 1 if now % 2 else tree.d1 + 1
-            # the int32 draw reads the same stream as the default int64 one
-            slot = rng.integers(0, deg, size=survivors, dtype=_VID)
-            targets, fresh = table.move(pos, slot)
-            if fresh.size:
-                counts = law.sample(rng, fresh.size)
-                woken = int(counts.sum())
-                _check_bytes(survivors + woken, _FROG_ITEMSIZE, FROG_ARRAY_BYTES,
-                             "awake frogs")
-                pos = np.concatenate([targets, np.repeat(fresh, counts)])
-            else:
-                pos = targets
-        if pos.size != survivors + woken:
-            raise RuntimeError(f"awake count not conserved at time {now}: "
-                               f"{pos.size} != {survivors} + {woken}")
-        if pos.size == 0:
-            return SimOutcome(survived=False, at_time=now, censor_reason=None,
-                              max_awake=max_awake, vertices_activated=table.n)
-        max_awake = max(max_awake, pos.size)
-        if pos.size > config.awake_cap:
-            return SimOutcome(survived=True, at_time=None, censor_reason="awake_cap",
-                              max_awake=max_awake, vertices_activated=table.n)
-    return SimOutcome(survived=True, at_time=None, censor_reason="horizon",
-                      max_awake=max_awake, vertices_activated=table.n)
+    table = _TreeTable(tree)
+    try:
+        for now in range(config.horizon):
+            pos = pos.compress(rng.random(pos.size) < p)
+            survivors = pos.size
+            woken = 0
+            if survivors:
+                # every awake frog sits at the level parity of the step
+                deg = tree.d2 + 1 if now % 2 else tree.d1 + 1
+                # the int32 draw reads the same stream as the default int64 one
+                slot = rng.integers(0, deg, size=survivors, dtype=_VID)
+                targets, fresh = table.move(pos, slot)
+                if fresh.size:
+                    counts = law.sample(rng, fresh.size)
+                    woken = int(counts.sum())
+                    _check_bytes(survivors + woken, _FROG_ITEMSIZE, FROG_ARRAY_BYTES,
+                                 "awake frogs")
+                    pos = np.concatenate([targets, np.repeat(fresh, counts)])
+                else:
+                    pos = targets
+            if pos.size != survivors + woken:
+                raise RuntimeError(f"awake count not conserved at time {now}: "
+                                   f"{pos.size} != {survivors} + {woken}")
+            if pos.size == 0:
+                return SimOutcome(survived=False, at_time=now, censor_reason=None,
+                                  max_awake=max_awake, vertices_activated=table.n)
+            max_awake = max(max_awake, pos.size)
+            if pos.size > config.awake_cap:
+                return SimOutcome(survived=True, at_time=None, censor_reason="awake_cap",
+                                  max_awake=max_awake, vertices_activated=table.n)
+        return SimOutcome(survived=True, at_time=None, censor_reason="horizon",
+                          max_awake=max_awake, vertices_activated=table.n)
+    finally:
+        table.release()
 
 
 _Z95 = 1.959963984540054

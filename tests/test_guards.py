@@ -10,14 +10,17 @@ builds a Philox or a SeedSequence: the coupled realization takes its
 stream from _stream too and reads the key back for _seek.  Every memory
 SimResourceError is raised by sim._check_bytes, so the error is built only
 there, in the int32 range check of _TreeTable.__init__ and in the coupled
-pass's walk step guard.  Integer inputs have one rule, tree._check_int, so
-nothing else in the package tests isinstance(_, int) or names __index__
-or operator.index; real inputs have one rule, tree._check_real, so no
-other function in the package calls float() on one of its own
-parameters.  The complement 1 - pgf(1 - z) has one home, InitLaw.cpgf,
-whose closed forms keep full precision at small z, so nothing else in the
-package names a law's pgf, to call it or to pass it on, where that
-complement could be formed again with cancellation.
+pass's walk step guard.  run_frog's dense neighbor table has one
+allocation path, so _TreeTable binds its nbr only in __init__ (the spare
+or an empty array) and in _grow, whose charge every row passes.  Integer
+inputs have one rule, tree._check_int, so nothing else in the package
+tests isinstance(_, int) or names __index__ or operator.index; real
+inputs have one rule, tree._check_real, so no other function in the
+package calls float() on one of its own parameters.  The complement
+1 - pgf(1 - z) has one home, InitLaw.cpgf, whose closed forms keep full
+precision at small z, so nothing else in the package names a law's pgf,
+to call it or to pass it on, where that complement could be formed again
+with cancellation.
 Killed walks have one kernel, hitting._distance_chain, so every `while`
 loop in the package sits there, in the path-open tables' fill or in the
 coupled pass: no Monte Carlo oracle grows a walk loop of its own.
@@ -152,6 +155,30 @@ def test_resource_errors_are_built_in_three_places():
     # every memory error, the int32 range of a store's ids, the walk step guard
     assert found == ["sim.py:_check_bytes", "sim.py:_TreeTable.__init__",
                      "sim.py:_replica_threshold"]
+
+
+def _binds_nbr(node):
+    """An attribute named nbr bound as a whole, as self.nbr = ... or
+    t.nbr += ...; a store into its items, as self.nbr[k] = ..., is none."""
+    return (isinstance(node, ast.Attribute) and node.attr == "nbr"
+            and isinstance(node.ctx, ast.Store))
+
+
+def test_only_the_constructor_and_grow_bind_the_neighbor_table():
+    probe = ast.parse("class A:\n    def f(self, k):\n        self.nbr[k] = self.nbr\n"
+                      "        self.nbr, n = k, 1\n        self.nbr += k\n"
+                      "def g(t, x):\n    for t.nbr in x:\n        pass\n    return t.nbr\n")
+    assert _sites(probe, _binds_nbr) == ["A.f", "A.f", "g"]
+    found = [f"{name}:{where}" for name, tree in _package_sources()
+             for where in _sites(tree, _binds_nbr)]
+    # the spare or _EMPTY, then _extended's charged growth
+    assert found == ["sim.py:_TreeTable.__init__", "sim.py:_TreeTable._grow"]
+    # and no other array is made for it there, as a fresh np.zeros
+    [sim_tree] = [tree for name, tree in _package_sources() if name == "sim.py"]
+    values = [n.value for n in ast.walk(sim_tree) if isinstance(n, ast.Assign)
+              and any(_binds_nbr(x) for t in n.targets for x in ast.walk(t))]
+    calls = [_name(c.func) for v in values for c in ast.walk(v) if isinstance(c, ast.Call)]
+    assert sorted(calls) == ["_extended", "pop"]
 
 
 def _tests_for_an_integer(node):

@@ -16,6 +16,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from collections import deque
 
@@ -272,6 +273,23 @@ def test_coupled_tree_peak_stays_within_the_byte_bound(monkeypatch):
     assert peak <= bound
 
 
+def test_the_first_table_is_charged_before_it_is_allocated(monkeypatch):
+    # an empty pool and a bound of 1,023 rows of T(2,2), one short of the
+    # first table's 1,024
+    monkeypatch.setattr(sim, "_SPARE", [])
+    row = T22.stride * sim._VID.itemsize
+    monkeypatch.setattr(sim, "TREE_BYTES", 1_023 * row)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimResourceError, match="^1024 neighbor-table rows"):
+            sim._TreeTable(T22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the first table would take 12,288 bytes
+    assert peak < 1_024 * row
+
+
 def test_int32_index_range_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(sim, "_SPARE", [])
     size = sim._TreeTable(T22).nbr.itemsize
@@ -413,8 +431,8 @@ def test_a_table_past_the_spare_bound_is_not_kept(monkeypatch):
     (1_820, 3, True),    # 21,840 bytes, within a third of the bound
     (1_821, 3, False),   # 21,852 bytes, past it
     (6_000, 3, False),   # 72,000 bytes, past the bound itself
-    (1_023, 3, False),   # fewer rows than a fresh table
-    (1_024, 4, False),   # a table of T(2,3): 4,096 ids, not whole rows of T(2,2)
+    (1_023, 3, True),    # fewer rows than 1,024: copied into 1,024 fresh rows
+    (1_024, 4, True),    # a table of T(2,3): its 4,096 ids read as 1,365 rows
 ])
 def test_a_spare_is_taken_only_within_a_third_of_the_tree_bound(monkeypatch, rows, stride,
                                                                taken):
@@ -423,8 +441,12 @@ def test_a_spare_is_taken_only_within_a_third_of_the_tree_bound(monkeypatch, row
     spare = np.zeros(rows * stride, dtype=sim._VID)
     monkeypatch.setattr(sim, "_SPARE", [spare])
     table = sim._TreeTable(T22)
-    assert (table.nbr is spare) == taken
     assert sim._SPARE == ([] if taken else [spare])
+    # a spare taken serves as its whole rows of T(2,2) if it holds 1,024;
+    # the table starts from 1,024 fresh rows otherwise
+    held = spare.size // T22.stride if taken else 0
+    assert (table.nbr is spare) == (held >= 1_024)
+    assert table.nbr.size // T22.stride == max(held, 1_024)
     # whichever array the table holds, it grows and raises as a fresh one
     # does, and every array it holds counts against the bound
     for hi in range(1_001, bound, 1_000):
@@ -437,8 +459,30 @@ def test_a_spare_is_taken_only_within_a_third_of_the_tree_bound(monkeypatch, row
     assert table.n == 3_001 and table.cap == 3_413
 
 
-def test_threads_that_share_the_spare_keep_their_outcomes(monkeypatch):
-    monkeypatch.setattr(sim, "_SPARE", [])
+class _YieldingPool(list):
+    """A list that lets another thread run before each read or change, as
+    a pool the spare's lock must keep consistent."""
+
+    def __len__(self):
+        time.sleep(0)
+        return super().__len__()
+
+    def __getitem__(self, i):
+        time.sleep(0)
+        return super().__getitem__(i)
+
+    def pop(self, *i):
+        time.sleep(0)
+        return super().pop(*i)
+
+    def append(self, a):
+        time.sleep(0)
+        super().append(a)
+
+
+@pytest.mark.parametrize("pool", [list, _YieldingPool], ids=["plain", "yielding"])
+def test_threads_that_share_the_spare_keep_their_outcomes(monkeypatch, pool):
+    monkeypatch.setattr(sim, "_SPARE", pool())
     # many short runs, so that threads often take and hand back at once
     cfgs = [SimConfig(tree=T22, law=Constant(1), p=p, horizon=400, awake_cap=3_000,
                       seed=1, replica_index=r) for p in (0.6, 0.9) for r in range(50)]
@@ -460,6 +504,7 @@ def test_threads_that_share_the_spare_keep_their_outcomes(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(got[k] == want[k:] + want[:k] for k in range(6))
+    # one spare, all zero: no two threads took or handed back the same one
     assert len(sim._SPARE) == 1 and not sim._SPARE[0].any()
 
 
